@@ -7,22 +7,19 @@ from cbandits.core import (
     Discrete,
     PointMass,
     ProblemInstance,
-    UniformSource,
     ValidationError,
     distribution_from_config,
     instance_from_config,
-    trial_stream,
+    trial_streams,
 )
 from cbandits.strategies import (
     ConstantSchedule,
     EpsilonSchedule,
     ExplicitSchedule,
     InverseTimeSchedule,
-    SelectionEvent,
-    StrategyState,
+    choose_arm,
+    greedy_ties,
     schedule_from_config,
-    select_arm,
-    simulate,
 )
 from cbandits.analysis import (
     FeasibilityProfile,
@@ -49,7 +46,6 @@ from cbandits.harness import (
     ExperimentResult,
     MonteCarloEstimate,
     TrialRecord,
-    regret_metric,
     run_experiment,
     run_trial,
     wilson_interval,

@@ -3,8 +3,10 @@ selection probabilities by full enumeration.
 
 The enumeration oracle walks every branch/outcome combination of the
 selection protocol and accumulates path probabilities, in exact rational
-arithmetic by default.  It exists to pin down ground truth for short
-horizons; the Monte Carlo harness is validated against it.
+arithmetic by default.  At each node it applies the same greedy rule as
+the simulator (:func:`cbandits.strategies.greedy_ties`), for the
+configured policy and tie rule.  It exists to pin down ground truth for
+short horizons; the Monte Carlo harness is validated against it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from cbandits.core import ProblemInstance, ValidationError
+from cbandits.core import ProblemInstance, ValidationError, _as_float, _as_int
 from cbandits.strategies import (
+    POLICY_CONSTRAINED,
+    POLICY_UNIFORM,
     TIE_LOWEST_INDEX,
-    TIE_UNIFORM,
     EpsilonSchedule,
-    _check_tie_rule,
+    _check_strategy,
+    greedy_ties,
 )
 
 __all__ = [
@@ -41,12 +45,6 @@ ORACLE_MAX_STEPS = 6
 BRUTEFORCE_MAX_ARMS = 20
 
 
-def _check_offset(value: float, what: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError("bad_parameter", f"{what} must be a real number")
-    return float(value)
-
-
 def feasible_set(instance: ProblemInstance, kappa: float = 0.0) -> set[int]:
     """Arms whose exact mean cost is at most the budget plus ``kappa``.
 
@@ -54,7 +52,7 @@ def feasible_set(instance: ProblemInstance, kappa: float = 0.0) -> set[int]:
     boundary is included.  ``kappa`` may be negative (a tightened
     budget); the result is nondecreasing in ``kappa``.
     """
-    kappa = _check_offset(kappa, "kappa")
+    kappa = _as_float(kappa, "bad_parameter", "kappa")
     level = instance.constraint_level + kappa
     costs = instance.cost_means()
     return {a for a in range(instance.num_arms) if costs[a] <= level}
@@ -98,9 +96,7 @@ def delta_best_arms(instance: ProblemInstance, delta: float) -> set[int]:
     This closed form is checked against subset enumeration by
     :func:`delta_best_arms_bruteforce`.
     """
-    delta = _check_offset(delta, "delta")
-    if delta < 0.0:
-        raise ValidationError("bad_parameter", f"delta must be >= 0, got {delta}")
+    delta = _as_float(delta, "bad_parameter", "delta", 0.0)
     upper = feasible_set(instance, delta)
     lower = feasible_set(instance, -delta)
     rewards = instance.reward_means()
@@ -117,9 +113,7 @@ def delta_best_arms_bruteforce(instance: ProblemInstance, delta: float) -> set[i
     set and collects each S's reward-argmax arms.  Exponential in the
     gap between the two sets; limited to ``BRUTEFORCE_MAX_ARMS`` arms.
     """
-    delta = _check_offset(delta, "delta")
-    if delta < 0.0:
-        raise ValidationError("bad_parameter", f"delta must be >= 0, got {delta}")
+    delta = _as_float(delta, "bad_parameter", "delta", 0.0)
     if instance.num_arms > BRUTEFORCE_MAX_ARMS:
         raise ValidationError(
             "bad_parameter",
@@ -216,12 +210,13 @@ class OracleResult:
 
 
 class _Enumerator:
-    """DFS over the full outcome tree of the constrained strategy."""
+    """DFS over the full outcome tree of the strategy."""
 
-    def __init__(self, instance, eps, level, tie_rule, target, exact, max_nodes):
+    def __init__(self, instance, eps, level, policy, tie_rule, target, exact, max_nodes):
         self.num_arms = instance.num_arms
         self.eps = eps
         self.level = level
+        self.policy = policy
         self.tie_rule = tie_rule
         self.target = target
         self.exact = exact
@@ -240,7 +235,7 @@ class _Enumerator:
 
     def _atoms(self, dist):
         values = dist.support_values()
-        probs = dist.support_probabilities()
+        probs = dist.support_probabilities(exact=self.exact)
         convert = Fraction if self.exact else float
         return [
             (convert(v), convert(p)) for v, p in zip(values, probs) if p > 0.0
@@ -251,33 +246,17 @@ class _Enumerator:
         one = Fraction(1) if self.exact else 1.0
         law = [eps_t * self.uniform] * self.num_arms
         greedy_mass = one - eps_t
-        candidates = [
-            a
-            for a in range(self.num_arms)
-            if counts[a] > 0 and cost_sums[a] <= self.level * counts[a]
-        ]
-        if not candidates:
-            for a in range(self.num_arms):
-                law[a] = law[a] + greedy_mass * self.uniform
-            return law
-        best_value = None
-        best_arm = -1
-        for a in candidates:
-            value = reward_sums[a] / counts[a]
-            if best_value is None or value > best_value:
-                best_value = value
-                best_arm = a
-        if self.tie_rule == TIE_LOWEST_INDEX:
-            law[best_arm] = law[best_arm] + greedy_mass
+        ties = greedy_ties(
+            counts, reward_sums, cost_sums, self.level, self.policy, self.tie_rule
+        )
+        if not ties:
+            ties, share = range(self.num_arms), greedy_mass * self.uniform
+        elif len(ties) == 1:
+            share = greedy_mass
         else:
-            ties = [
-                a
-                for a in candidates
-                if reward_sums[a] / counts[a] == best_value
-            ]
             share = greedy_mass / len(ties)
-            for a in ties:
-                law[a] = law[a] + share
+        for a in ties:
+            law[a] = law[a] + share
         return law
 
     def run(self):
@@ -324,26 +303,30 @@ def exact_selection_probability(
     t: int,
     deltas: Sequence[float] = (),
     tie_rule: str = TIE_LOWEST_INDEX,
+    policy: str = POLICY_CONSTRAINED,
     method: str = "auto",
     max_steps: int = ORACLE_MAX_STEPS,
     max_nodes: int = 2_000_000,
 ) -> OracleResult:
     """Exact law of the arm selected at step ``t``, by full enumeration.
 
+    ``policy`` and ``tie_rule`` are the strategy's (config key
+    ``strategy``); under the ``uniform`` policy every step is uniform.
     Requires every reward and cost distribution to have finite support
     and ``t`` at most ``max_steps`` (the tree grows exponentially).
     ``method`` is ``"fraction"`` for exact rational arithmetic (the
-    default via ``"auto"``) or ``"float"`` for double precision mirroring
-    the simulator's arithmetic exactly.
+    default via ``"auto"``), over the exact law of each distribution's
+    ``quantile(U)``, so the probabilities sum to exactly 1; or
+    ``"float"`` for double precision mirroring the simulator's
+    arithmetic exactly.
 
     Returns per-arm probabilities and, for each requested ``delta``, the
     probability that the selected arm is delta-best.
     """
-    _check_tie_rule(tie_rule)
+    _check_strategy(policy, tie_rule)
     if method not in ("auto", "fraction", "float"):
         raise ValidationError("bad_parameter", f"unknown oracle method {method!r}")
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise ValidationError("bad_parameter", f"t must be a positive integer, got {t!r}")
+    t = _as_int(t, "bad_parameter", "t", 1)
     if t > max_steps:
         raise ValidationError(
             "oracle_horizon",
@@ -357,18 +340,18 @@ def exact_selection_probability(
                     f"arm {arm_index} {part_name} has continuous support; "
                     "the enumeration oracle needs finite-support distributions",
                 )
-    deltas = tuple(float(d) for d in deltas)
-    for d in deltas:
-        if d < 0.0:
-            raise ValidationError("bad_parameter", f"delta must be >= 0, got {d}")
+    deltas = tuple(_as_float(d, "bad_parameter", "delta", 0.0) for d in deltas)
 
     exact = method in ("auto", "fraction")
-    eps_values = [schedule.epsilon(n) for n in range(1, t + 1)]
+    if policy == POLICY_UNIFORM:
+        eps_values = [1.0] * t
+    else:
+        eps_values = [schedule.epsilon(n) for n in range(1, t + 1)]
     eps = [Fraction(e) for e in eps_values] if exact else [float(e) for e in eps_values]
     level = Fraction(instance.constraint_level) if exact else instance.constraint_level
 
     enumerator = _Enumerator(
-        instance, eps, level, tie_rule, t, exact, max_nodes
+        instance, eps, level, policy, tie_rule, t, exact, max_nodes
     )
     mass, nodes = enumerator.run()
 

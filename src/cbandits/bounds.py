@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from cbandits.core import ValidationError
+from cbandits.core import ValidationError, _as_float, _as_int
 from cbandits.strategies import EpsilonSchedule
 
 __all__ = [
@@ -46,24 +46,6 @@ VARIANTS = (VARIANT_RHO_SQUARED, VARIANT_RHO_LINEAR)
 _EXP_OVERFLOW = 700.0
 
 
-def _check_num_arms(num_arms: int) -> None:
-    if not isinstance(num_arms, int) or isinstance(num_arms, bool) or num_arms < 2:
-        raise ValidationError(
-            "bad_parameter", f"num_arms must be an integer >= 2, got {num_arms!r}"
-        )
-
-
-def _check_nonnegative(value: float, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError("bad_parameter", f"{what} must be a real number")
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValidationError(
-            "bad_parameter", f"{what} must be finite and >= 0, got {value}"
-        )
-    return value
-
-
 def _safe_exp(exponent: float) -> float:
     if exponent > _EXP_OVERFLOW:
         return math.inf
@@ -73,9 +55,8 @@ def _safe_exp(exponent: float) -> float:
 def hoeffding_tail(h: float, j: int) -> float:
     """Upper tail exp(-2 h^2 / j) for a sum of j mean-zero [0,1] summands
     deviating by at least h."""
-    h = _check_nonnegative(h, "h")
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise ValidationError("bad_parameter", f"j must be an integer >= 1, got {j!r}")
+    h = _as_float(h, "bad_parameter", "h", 0.0)
+    j = _as_int(j, "bad_parameter", "j", 1)
     return math.exp(-2.0 * h * h / j)
 
 
@@ -86,8 +67,8 @@ def bernstein_tail(h: float, sigma_sq: float) -> float:
     With sigma_sq = 2x and h = x this reduces to exp(-x/5), the count
     factor of the selection bound.
     """
-    h = _check_nonnegative(h, "h")
-    sigma_sq = _check_nonnegative(sigma_sq, "sigma_sq")
+    h = _as_float(h, "bad_parameter", "h", 0.0)
+    sigma_sq = _as_float(sigma_sq, "bad_parameter", "sigma_sq", 0.0)
     if h == 0.0 and sigma_sq == 0.0:
         raise ValidationError(
             "bad_parameter", "h and sigma_sq cannot both be zero"
@@ -106,7 +87,7 @@ def exploration_mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
     exact when num_arms is a power of two and otherwise rounds once more.
     Satisfies 0 < x_t <= t / (2 * num_arms).
     """
-    _check_num_arms(num_arms)
+    num_arms = _as_int(num_arms, "bad_parameter", "num_arms", 2)
     return schedule.cumulative(t) / (2.0 * num_arms)
 
 
@@ -136,23 +117,6 @@ class BoundReport:
             self.factor_reward,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "x_t": self.x_t,
-            "epsilon_t": self.epsilon_t,
-            "num_arms": self.num_arms,
-            "delta": self.delta,
-            "rho": self.rho,
-            "factor_eps": self.factor_eps,
-            "factor_count": self.factor_count,
-            "factor_feas": self.factor_feas,
-            "factor_reward": self.factor_reward,
-            "raw_product": self.raw_product,
-            "clamped": self.clamped,
-            "vacuous": self.vacuous,
-        }
-
 
 def _clamp(factors: tuple[float, ...], raw: float) -> tuple[float, bool]:
     vacuous = raw <= 0.0 or any(f < 0.0 for f in factors)
@@ -175,15 +139,11 @@ def bound_from_mass(
     minimum reward-mean gap.  Either may be zero, which makes the
     corresponding factor negative and the bound vacuous.
     """
-    _check_num_arms(num_arms)
-    delta = _check_nonnegative(delta, "delta")
-    rho = _check_nonnegative(rho, "rho")
-    epsilon_t = _check_nonnegative(epsilon_t, "epsilon_t")
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValidationError("bad_parameter", "x must be a real number")
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValidationError("bad_parameter", f"x must be finite and > 0, got {x}")
+    num_arms = _as_int(num_arms, "bad_parameter", "num_arms", 2)
+    delta = _as_float(delta, "bad_parameter", "delta", 0.0)
+    rho = _as_float(rho, "bad_parameter", "rho", 0.0)
+    epsilon_t = _as_float(epsilon_t, "bad_parameter", "epsilon_t", 0.0)
+    x = _as_float(x, "bad_parameter", "x", 0.0, strict=True)
 
     n = num_arms
     factor_eps = 1.0 - epsilon_t / n
@@ -220,8 +180,7 @@ def selection_lower_bound(
 ) -> BoundReport:
     """Exact lower bound on the probability that the arm selected at step
     ``t`` is delta-best, as a function of the schedule's history."""
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise ValidationError("bad_parameter", f"t must be an integer >= 1, got {t!r}")
+    t = _as_int(t, "bad_parameter", "t", 1)
     epsilon_t = schedule.epsilon(t)
     x = exploration_mass(schedule, t, num_arms)
     return bound_from_mass(x, epsilon_t, num_arms, delta, rho, t=t)
@@ -247,24 +206,6 @@ class ClosedFormReport:
     clamped: float
     vacuous: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "k": self.k,
-            "num_arms": self.num_arms,
-            "delta": self.delta,
-            "rho": self.rho,
-            "variant": self.variant,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "log_beta": self.log_beta,
-            "factor_eps": self.factor_eps,
-            "factor_tail": self.factor_tail,
-            "raw_product": self.raw_product,
-            "clamped": self.clamped,
-            "vacuous": self.vacuous,
-        }
-
 
 def closed_form_exponents(
     k: float,
@@ -279,10 +220,10 @@ def closed_form_exponents(
     is the largest of the matching coefficients, returned in log space
     because it overflows doubles already for moderate k.
     """
-    _check_num_arms(num_arms)
-    delta = _check_nonnegative(delta, "delta")
-    rho = _check_nonnegative(rho, "rho")
-    k = _check_k(k)
+    num_arms = _as_int(num_arms, "bad_parameter", "num_arms", 2)
+    delta = _as_float(delta, "bad_parameter", "delta", 0.0)
+    rho = _as_float(rho, "bad_parameter", "rho", 0.0)
+    k = _as_float(k, "bad_parameter", "k", 1.0, strict=True)
     if variant not in VARIANTS:
         raise ValidationError(
             "bad_parameter",
@@ -296,15 +237,6 @@ def closed_form_exponents(
     log_k = math.log(k)
     log_beta = max(math.log(c) + a * log_k for c, a in zip(coefs, exps))
     return alpha, log_beta
-
-
-def _check_k(k: float) -> float:
-    if isinstance(k, bool) or not isinstance(k, (int, float)):
-        raise ValidationError("bad_parameter", "k must be a real number")
-    k = float(k)
-    if not math.isfinite(k) or k <= 1.0:
-        raise ValidationError("bad_parameter", f"k must be finite and > 1, got {k}")
-    return k
 
 
 def closed_form_lower_bound(
@@ -321,12 +253,10 @@ def closed_form_lower_bound(
     The ``rho_squared`` variant never exceeds the exact bound; the
     ``rho_linear`` variant can when rho < 1.
     """
-    k = _check_k(k)
+    k = _as_float(k, "bad_parameter", "k", 1.0, strict=True)
     alpha, log_beta = closed_form_exponents(k, num_arms, delta, rho, variant)
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
-        raise ValidationError("bad_parameter", "t must be a real number")
-    t = float(t)
-    if not math.isfinite(t) or t < k:
+    t = _as_float(t, "bad_parameter", "t")
+    if t < k:
         raise ValidationError(
             "bad_parameter", f"the closed form needs t >= k, got t={t} < k={k}"
         )

@@ -283,6 +283,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         args.t,
         deltas=deltas,
         tie_rule=parts["tie_rule"],
+        policy=parts["policy"],
         method=args.method,
     )
     text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -1,20 +1,23 @@
-"""Bounded-support outcome distributions, bandit problem instances, and
-reproducible per-trial uniform streams.
+"""Bounded-support outcome distributions, bandit problem instances, the
+one RNG addressing function, and the shared input validators.
 
 Every distribution here has support inside the unit interval and a
-closed-form mean and variance.  Sampling is inverse-transform only: each
-draw consumes exactly one uniform from the caller's stream, which keeps
-trajectories replayable and makes vectorized and scalar execution paths
-produce bit-identical results.
+closed-form mean and variance.  Sampling is inverse-transform only: a
+draw is ``quantile(u)`` of exactly one uniform from the replication's
+stream, which keeps trajectories replayable and makes the vectorized
+kernel and the scalar reference produce bit-identical results.
+:func:`trial_streams` is the only place that maps a replication to its
+uniforms.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
-
-import math
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -32,8 +35,7 @@ __all__ = [
     "validate_instance",
     "distribution_from_config",
     "instance_from_config",
-    "UniformSource",
-    "trial_stream",
+    "trial_streams",
     "experiment_key",
     "DRAWS_PER_STEP",
     "PROBABILITY_TOL",
@@ -70,13 +72,26 @@ class ValidationError(ValueError):
         self.code = code
 
 
-def _as_float(value, code: str, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _as_float(
+    value, code: str, what: str, minimum: float = -math.inf, strict: bool = False
+) -> float:
+    """``value`` as a finite float that is at least ``minimum`` (greater
+    than it when ``strict``).  Any real number but a bool is accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(code, f"{what} must be a real number, got {value!r}")
     out = float(value)
-    if not math.isfinite(out):
-        raise ValidationError(code, f"{what} must be finite, got {out!r}")
+    if not math.isfinite(out) or out < minimum or (strict and out == minimum):
+        bound = f" and {'>' if strict else '>='} {minimum!r}" if minimum > -math.inf else ""
+        raise ValidationError(code, f"{what} must be finite{bound}, got {out!r}")
     return out
+
+
+def _as_int(value, code: str, what: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``.  Any integral number
+    but a bool is accepted, numpy integers included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(code, f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +103,8 @@ class Distribution(ABC):
     """A distribution supported on the unit interval.
 
     Subclasses expose exact first and second moments and an inverse CDF
-    (``quantile``).  ``sample`` draws by inverse transform, consuming
-    exactly one uniform per variate regardless of the distribution kind.
+    (``quantile``).  A variate is ``quantile(u)`` of one uniform ``u``,
+    whatever the distribution kind.
     """
 
     kind: str = "abstract"
@@ -128,22 +143,17 @@ class Distribution(ABC):
             f"{self.kind} distribution has continuous support",
         )
 
-    def support_probabilities(self) -> tuple[float, ...]:
-        """Probabilities matching ``support_values``."""
+    def support_probabilities(self, exact: bool = False) -> tuple:
+        """Probabilities matching ``support_values``.
+
+        With ``exact``, the exact law of ``quantile(U)`` for ``U`` uniform
+        on [0, 1), as Fractions that sum to exactly 1; otherwise the
+        stored parameters as floats.
+        """
         raise ValidationError(
             "continuous_support",
             f"{self.kind} distribution has continuous support",
         )
-
-    def sample(self, source: "UniformSource") -> float:
-        value = float(self.quantile(source.uniform()))
-        assert 0.0 <= value <= 1.0
-        return value
-
-    def sample_many(self, source: "UniformSource", n: int) -> np.ndarray:
-        values = np.asarray(self.quantile(source.uniforms(n)), dtype=np.float64)
-        assert values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0
-        return values
 
 
 @dataclass(frozen=True)
@@ -177,8 +187,8 @@ class PointMass(Distribution):
     def support_values(self) -> tuple[float, ...]:
         return (self.value,)
 
-    def support_probabilities(self) -> tuple[float, ...]:
-        return (1.0,)
+    def support_probabilities(self, exact: bool = False) -> tuple:
+        return (Fraction(1),) if exact else (1.0,)
 
     def to_config(self) -> dict:
         return {"kind": "point_mass", "value": self.value}
@@ -214,7 +224,10 @@ class Bernoulli(Distribution):
     def support_values(self) -> tuple[float, ...]:
         return (0.0, 1.0)
 
-    def support_probabilities(self) -> tuple[float, ...]:
+    def support_probabilities(self, exact: bool = False) -> tuple:
+        if exact:
+            p = Fraction(self.p)
+            return (1 - p, p)
         return (1.0 - self.p, self.p)
 
     def to_config(self) -> dict:
@@ -290,8 +303,14 @@ class Discrete(Distribution):
     def support_values(self) -> tuple[float, ...]:
         return self.values
 
-    def support_probabilities(self) -> tuple[float, ...]:
-        return self.probabilities
+    def support_probabilities(self, exact: bool = False) -> tuple:
+        if not exact:
+            return self.probabilities
+        # quantile(u) is atom i for u in [_cum[i-1], _cum[i]); the last atom
+        # takes the rest of [0, 1), whatever rounding did to _cum.
+        cuts = [min(Fraction(c), Fraction(1)) for c in self._cum[:-1]]
+        cuts = [Fraction(0)] + cuts + [Fraction(1)]
+        return tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
 
     def to_config(self) -> dict:
         return {
@@ -522,81 +541,29 @@ def instance_from_config(config: Mapping, path: str = "instance") -> ProblemInst
 # ---------------------------------------------------------------------------
 
 
-class UniformSource:
-    """Buffered stream of i.i.d. uniform doubles on [0, 1).
-
-    Wraps a numpy ``Generator`` and hands out its ``random()`` sequence in
-    order, one value or one block at a time.  Buffering never changes the
-    sequence, so scalar and bulk consumers see identical values.
-    """
-
-    __slots__ = ("_generator", "_block", "_buffer", "_pos")
-
-    def __init__(self, generator: Generator, block: int = 512):
-        if block < 1:
-            raise ValidationError("bad_parameter", f"block must be >= 1, got {block}")
-        self._generator = generator
-        self._block = int(block)
-        self._buffer = np.empty(0, dtype=np.float64)
-        self._pos = 0
-
-    def uniform(self) -> float:
-        if self._pos >= self._buffer.shape[0]:
-            self._buffer = self._generator.random(self._block)
-            self._pos = 0
-        value = self._buffer[self._pos]
-        self._pos += 1
-        return float(value)
-
-    def uniforms(self, n: int) -> np.ndarray:
-        n = int(n)
-        if n < 0:
-            raise ValidationError("bad_parameter", f"n must be >= 0, got {n}")
-        remaining = self._buffer[self._pos :]
-        if n <= remaining.shape[0]:
-            out = remaining[:n].copy()
-            self._pos += n
-            return out
-        tail = self._generator.random(n - remaining.shape[0])
-        self._buffer = np.empty(0, dtype=np.float64)
-        self._pos = 0
-        return np.concatenate([remaining, tail])
-
-
-def _check_seed(master_seed: int) -> int:
-    if isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer)):
-        raise ValidationError(
-            "bad_parameter", f"master_seed must be an integer, got {master_seed!r}"
-        )
-    seed = int(master_seed)
-    if not 0 <= seed < _MAX_SEED:
+def experiment_key(master_seed: int) -> np.ndarray:
+    """Derive the 128-bit counter-based stream key for an experiment."""
+    seed = _as_int(master_seed, "bad_parameter", "master_seed", 0)
+    if seed >= _MAX_SEED:
         raise ValidationError(
             "bad_parameter", f"master_seed must be in [0, 2**64), got {seed}"
         )
-    return seed
+    return SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def experiment_key(master_seed: int) -> np.ndarray:
-    """Derive the 128-bit counter-based stream key for an experiment."""
-    return SeedSequence(_check_seed(master_seed)).generate_state(2, np.uint64)
+def trial_streams(master_seed: int, rep_lo: int, rep_hi: int, horizon: int) -> np.ndarray:
+    """Uniform streams of replications ``[rep_lo, rep_hi)``, one row each.
 
-
-def trial_stream(master_seed: int, replication: int, horizon: int) -> UniformSource:
-    """Independent uniform stream for one replication of one experiment.
-
-    The stream is a fixed window of a counter-based (Philox) sequence
-    keyed by ``master_seed``: replication ``r`` starts at counter
-    ``r * horizon`` and one counter block covers one step's
-    ``DRAWS_PER_STEP`` draws.  Streams for different replications never
-    overlap while at most ``DRAWS_PER_STEP * horizon`` values are drawn,
-    and they can be regenerated in any order on any worker.
+    Row ``r - rep_lo`` holds the ``DRAWS_PER_STEP * horizon`` doubles of
+    replication ``r``: the window of a counter-based (Philox) sequence,
+    keyed by ``master_seed``, that starts at counter ``r * horizon``.  One
+    counter block covers one step's draws, so the windows of different
+    replications never overlap, and a replication's row is the same
+    whichever block of replications it is drawn with, in any order, on
+    any worker.
     """
-    if replication < 0:
-        raise ValidationError(
-            "bad_parameter", f"replication must be >= 0, got {replication}"
-        )
-    if horizon < 1:
-        raise ValidationError("bad_parameter", f"horizon must be >= 1, got {horizon}")
-    key = experiment_key(master_seed)
-    bitgen = Philox(key=key, counter=int(replication) * int(horizon))
-    return UniformSource(Generator(bitgen))
+    rep_lo = _as_int(rep_lo, "bad_parameter", "rep_lo", 0)
+    rep_hi = _as_int(rep_hi, "bad_parameter", "rep_hi", rep_lo + 1)
+    horizon = _as_int(horizon, "bad_parameter", "horizon", 1)
+    generator = Generator(Philox(key=experiment_key(master_seed), counter=rep_lo * horizon))
+    return generator.random((rep_hi - rep_lo, DRAWS_PER_STEP * horizon))

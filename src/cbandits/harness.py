@@ -2,14 +2,14 @@
 probability that the arm selected at each checkpoint is delta-best, and
 compare the estimate against the theoretical lower bound.
 
-Two execution paths produce bit-identical trajectories: a step-by-step
-reference (:func:`run_trial`, built on the strategies module) and a
-vectorized kernel (:func:`run_chunk`) that advances a block of
-replications in lockstep.  Both consume the same per-trial uniform
-stream in the same fixed order, so every float they compute is equal,
-not merely close.  Replication r of an experiment draws from a
-counter-based stream indexed by r, which makes results independent of
-scheduling and worker count.
+Experiments run on a vectorized kernel (:func:`run_chunk`) that
+advances a block of replications in lockstep.  :func:`run_trial` is its
+scalar reference: one replication, step by step, through the selection
+rule of the strategies module.  Both read their uniforms from
+:func:`~cbandits.core.trial_streams` in the same fixed order, so every
+float they compute is equal, not merely close.  Replication r's stream
+depends only on (master_seed, r, horizon), which makes results
+independent of scheduling and worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from cbandits.analysis import (
     FeasibilityProfile,
     delta_best_arms,
     feasibility_profile,
-    feasible_set,
     reward_separation,
 )
 from cbandits.bounds import selection_lower_bound
@@ -34,18 +33,18 @@ from cbandits.core import (
     DRAWS_PER_STEP,
     ProblemInstance,
     ValidationError,
+    _as_float,
+    _as_int,
     experiment_key,
-    trial_stream,
+    trial_streams,
 )
 from cbandits.strategies import (
-    POLICIES,
     POLICY_CONSTRAINED,
     POLICY_UNIFORM,
     TIE_LOWEST_INDEX,
-    TIE_RULES,
     EpsilonSchedule,
-    SelectionEvent,
-    simulate,
+    _check_strategy,
+    choose_arm,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "run_trial",
     "run_chunk",
     "run_experiment",
-    "regret_metric",
     "write_results_csv",
     "write_summary_json",
 ]
@@ -104,45 +102,22 @@ class ExperimentConfig:
             raise ValidationError("bad_config", "instance must be a ProblemInstance")
         if not isinstance(self.schedule, EpsilonSchedule):
             raise ValidationError("bad_config", "schedule must be an EpsilonSchedule")
-        checkpoints = tuple(self.checkpoints)
+        checkpoints = tuple(_as_int(t, "bad_config", "checkpoints", 1) for t in self.checkpoints)
         if not checkpoints:
             raise ValidationError("bad_config", "checkpoints must be non-empty")
-        for t in checkpoints:
-            if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-                raise ValidationError(
-                    "bad_config", f"checkpoints must be integers >= 1, got {t!r}"
-                )
         if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
             raise ValidationError(
                 "bad_config", f"checkpoints must be strictly increasing, got {checkpoints}"
             )
-        deltas = tuple(float(d) for d in self.deltas)
+        deltas = tuple(_as_float(d, "bad_config", "deltas", 0.0) for d in self.deltas)
         if not deltas:
             raise ValidationError("bad_config", "deltas must be non-empty")
-        for d in deltas:
-            if not math.isfinite(d) or d < 0.0:
-                raise ValidationError(
-                    "bad_config", f"deltas must be finite and >= 0, got {d}"
-                )
-        if (
-            not isinstance(self.replications, int)
-            or isinstance(self.replications, bool)
-            or self.replications < 1
-        ):
-            raise ValidationError(
-                "bad_config", f"replications must be an integer >= 1, got {self.replications!r}"
-            )
+        replications = _as_int(self.replications, "bad_config", "replications", 1)
         experiment_key(self.master_seed)
-        if self.policy not in POLICIES:
-            raise ValidationError(
-                "bad_config", f"strategy kind must be one of {POLICIES}, got {self.policy!r}"
-            )
-        if self.tie_rule not in TIE_RULES:
-            raise ValidationError(
-                "bad_config", f"tie_rule must be one of {TIE_RULES}, got {self.tie_rule!r}"
-            )
+        _check_strategy(self.policy, self.tie_rule)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "replications", replications)
 
     @property
     def horizon(self) -> int:
@@ -212,17 +187,13 @@ class MonteCarloEstimate:
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, clipped to [0, 1]."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError("bad_parameter", f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(successes, int) or isinstance(successes, bool):
-        raise ValidationError("bad_parameter", "successes must be an integer")
-    if not 0 <= successes <= n:
+    n = _as_int(n, "bad_parameter", "n", 1)
+    successes = _as_int(successes, "bad_parameter", "successes", 0)
+    if successes > n:
         raise ValidationError(
             "bad_parameter", f"successes must lie in [0, {n}], got {successes}"
         )
-    if not isinstance(z, (int, float)) or isinstance(z, bool) or not z > 0:
-        raise ValidationError("bad_parameter", f"z must be > 0, got {z!r}")
-    z = float(z)
+    z = _as_float(z, "bad_parameter", "z", 0.0, strict=True)
     p = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
@@ -237,44 +208,44 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
 
 
 def run_trial(config: ExperimentConfig, replication_index: int) -> tuple[TrialRecord, ...]:
-    """Reference path: one full trajectory, reported at each checkpoint.
+    """Scalar reference of :func:`run_chunk`: replication
+    ``replication_index`` step by step, reported at each checkpoint.
 
-    Deterministic in (master_seed, replication_index); independent of
-    any other replication.
+    Deterministic in (master_seed, replication_index, horizon);
+    independent of any other replication.
     """
-    if (
-        not isinstance(replication_index, int)
-        or isinstance(replication_index, bool)
-        or replication_index < 0
-    ):
-        raise ValidationError(
-            "bad_parameter",
-            f"replication_index must be an integer >= 0, got {replication_index!r}",
-        )
+    rep = _as_int(replication_index, "bad_parameter", "replication_index", 0)
+    instance = config.instance
     horizon = config.horizon
-    source = trial_stream(config.master_seed, replication_index, horizon)
-    events = simulate(
-        config.instance,
-        config.schedule,
-        horizon,
-        source,
-        policy=config.policy,
-        tie_rule=config.tie_rule,
-    )
-    best_sets = [delta_best_arms(config.instance, d) for d in config.deltas]
+    uniforms = trial_streams(config.master_seed, rep, rep + 1, horizon)[0].tolist()
+    eps = config.schedule.epsilons(horizon).tolist()
+    best_sets = [delta_best_arms(instance, d) for d in config.deltas]
     wanted = set(config.checkpoints)
+    counts = [0] * instance.num_arms
+    reward_sums = [0.0] * instance.num_arms
+    cost_sums = [0.0] * instance.num_arms
+    acc_reward = acc_cost = 0.0
     records = []
-    acc_reward = 0.0
-    acc_cost = 0.0
-    for event in events:
-        acc_reward += event.reward
-        acc_cost += event.cost
-        if event.t in wanted:
+    for t in range(1, horizon + 1):
+        base = DRAWS_PER_STEP * (t - 1)
+        u_branch, u_arm, u_reward, u_cost = uniforms[base : base + DRAWS_PER_STEP]
+        arm, _ = choose_arm(
+            counts, reward_sums, cost_sums, eps[t - 1], instance.constraint_level,
+            config.policy, config.tie_rule, u_branch, u_arm,
+        )
+        reward = instance.arms[arm].reward.quantile(u_reward)
+        cost = instance.arms[arm].cost.quantile(u_cost)
+        counts[arm] += 1
+        reward_sums[arm] += reward
+        cost_sums[arm] += cost
+        acc_reward += reward
+        acc_cost += cost
+        if t in wanted:
             records.append(
                 TrialRecord(
-                    t=event.t,
-                    arm=event.arm,
-                    events=tuple(event.arm in s for s in best_sets),
+                    t=t,
+                    arm=arm,
+                    events=tuple(arm in s for s in best_sets),
                     cumulative_reward=acc_reward,
                     cumulative_cost=acc_cost,
                 )
@@ -322,11 +293,7 @@ def run_chunk(
     n_checkpoints = len(config.checkpoints)
     n_deltas = len(config.deltas)
 
-    key = experiment_key(config.master_seed)
-    generator = np.random.Generator(
-        np.random.Philox(key=key, counter=rep_lo * horizon)
-    )
-    uniforms = generator.random((n_reps, DRAWS_PER_STEP * horizon))
+    uniforms = trial_streams(config.master_seed, rep_lo, rep_hi, horizon)
 
     eps = config.schedule.epsilons(horizon)
     cp_index = {t: i for i, t in enumerate(config.checkpoints)}
@@ -404,8 +371,8 @@ def run_chunk(
         if cp is not None:
             successes[cp] += membership[:, arm].sum(axis=1)
             arm_hits[cp] += np.bincount(arm, minlength=n_arms)
-            cum_reward_total[cp] = cum_reward.sum()
-            cum_cost_total[cp] = cum_cost.sum()
+            cum_reward_total[cp] = math.fsum(cum_reward)
+            cum_cost_total[cp] = math.fsum(cum_cost)
             if keep_trajectories:
                 trajectory_arms[cp] = arm
                 trajectory_rewards[cp] = cum_reward
@@ -464,10 +431,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     layout is a pure function of (replications, horizon), so the result
     is identical for any worker count, including 1.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError(
-            "bad_parameter", f"workers must be an integer >= 1, got {workers!r}"
-        )
+    workers = _as_int(workers, "bad_parameter", "workers", 1)
     bounds = _chunk_bounds(config.replications, config.horizon)
     if workers == 1 or len(bounds) == 1:
         chunks = [run_chunk(config, lo, hi) for lo, hi in bounds]
@@ -526,20 +490,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         estimates=tuple(estimates),
         diagnostics=diagnostics,
     )
-
-
-def regret_metric(events: Sequence[SelectionEvent], instance: ProblemInstance) -> float:
-    """Expected-mean shortfall against always playing an optimal feasible
-    arm: mu_star * T minus the sum of the chosen arms' true mean rewards.
-
-    Diagnostic only; the strategy does not try to minimize it.
-    """
-    rewards = instance.reward_means()
-    mu_star = max(rewards[a] for a in feasible_set(instance, 0.0))
-    total = 0.0
-    for event in events:
-        total += rewards[event.arm]
-    return mu_star * len(events) - total
 
 
 def _format_csv_value(value) -> str:

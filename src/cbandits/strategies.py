@@ -1,10 +1,14 @@
 """Exploration schedules and the constrained epsilon-greedy selection rule.
 
-The selection protocol consumes exactly :data:`~cbandits.core.DRAWS_PER_STEP`
-uniforms per step in a fixed order (branch, arm, reward, cost), whether or
-not a draw's value ends up used.  Everything downstream relies on that:
-trajectories replay exactly, and the vectorized harness kernel walks the
-same uniform stream as this reference implementation.
+The rule is written once, over plain per-arm statistics:
+:func:`greedy_ties` decides which arms the greedy branch may pick, in
+float or exact rational arithmetic, and :func:`choose_arm` turns a
+step's branch and arm uniforms into the selected arm.  The scalar
+reference trajectory (``harness.run_trial``) and the exact oracle
+(``analysis``) both call them.  A step consumes exactly
+:data:`~cbandits.core.DRAWS_PER_STEP` uniforms in a fixed order (branch,
+arm, reward, cost), whether or not a draw's value ends up used, so the
+vectorized harness kernel walks the same stream as the scalar reference.
 """
 
 from __future__ import annotations
@@ -12,17 +16,15 @@ from __future__ import annotations
 import decimal
 import fractions
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from cbandits.core import (
-    Distribution,
-    ProblemInstance,
-    UniformSource,
     ValidationError,
     _as_float,
+    _as_int,
     _check_keys,
     _require_mapping,
 )
@@ -33,14 +35,8 @@ __all__ = [
     "InverseTimeSchedule",
     "ExplicitSchedule",
     "schedule_from_config",
-    "StrategyState",
-    "SelectionEvent",
-    "current_feasible_estimate",
-    "select_arm",
-    "step",
-    "baseline_select",
-    "simulate",
-    "replay_events",
+    "greedy_ties",
+    "choose_arm",
     "BRANCH_GREEDY",
     "BRANCH_FALLBACK",
     "BRANCH_RANDOM",
@@ -95,14 +91,6 @@ class EpsilonSchedule:
 
     def to_config(self) -> dict:
         raise NotImplementedError
-
-
-def _check_step(t: int) -> int:
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-        raise ValidationError("bad_parameter", f"step index must be an integer, got {t!r}")
-    if t < 1:
-        raise ValidationError("bad_parameter", f"step index must be >= 1, got {t}")
-    return int(t)
 
 
 # Euler's constant to 72 significant digits.
@@ -160,15 +148,15 @@ class ConstantSchedule(EpsilonSchedule):
         object.__setattr__(self, "value", v)
 
     def epsilon(self, t: int) -> float:
-        _check_step(t)
+        _as_int(t, "bad_parameter", "step index", 1)
         return self.value
 
     def epsilons(self, horizon: int) -> np.ndarray:
-        _check_step(horizon)
+        _as_int(horizon, "bad_parameter", "step index", 1)
         return np.full(horizon, self.value, dtype=np.float64)
 
     def cumulative(self, t: int) -> float:
-        _check_step(t)
+        _as_int(t, "bad_parameter", "step index", 1)
         return self.value * t
 
     def to_config(self) -> dict:
@@ -197,6 +185,8 @@ class InverseTimeSchedule(EpsilonSchedule):
 
     k: float
     kind = "inverse_time"
+    # H_floor(k), the harmonic number every cumulative(t) with t > k needs.
+    _harmonic_flat: decimal.Decimal = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = _as_float(self.k, "bad_schedule", "inverse_time schedule k")
@@ -206,23 +196,25 @@ class InverseTimeSchedule(EpsilonSchedule):
                 f"inverse_time schedule requires k > 1, got {k}",
             )
         object.__setattr__(self, "k", k)
+        with decimal.localcontext(_HARMONIC_CONTEXT):
+            object.__setattr__(self, "_harmonic_flat", _harmonic(math.floor(k)))
 
     def epsilon(self, t: int) -> float:
-        t = _check_step(t)
+        t = _as_int(t, "bad_parameter", "step index", 1)
         return min(1.0, self.k / t)
 
     def epsilons(self, horizon: int) -> np.ndarray:
-        horizon = _check_step(horizon)
+        horizon = _as_int(horizon, "bad_parameter", "step index", 1)
         steps = np.arange(1, horizon + 1, dtype=np.float64)
         return np.minimum(1.0, self.k / steps)
 
     def cumulative(self, t: int) -> float:
-        t = _check_step(t)
+        t = _as_int(t, "bad_parameter", "step index", 1)
         flat = math.floor(self.k)
         if t <= flat:
             return float(t)
         with decimal.localcontext(_HARMONIC_CONTEXT):
-            total = flat + decimal.Decimal(self.k) * (_harmonic(t) - _harmonic(flat))
+            total = flat + decimal.Decimal(self.k) * (_harmonic(t) - self._harmonic_flat)
             slack = total.scaleb(-_HARMONIC_SLACK_DIGITS)
             lo, hi = float(total - slack), float(total + slack)
         if lo == hi:
@@ -258,7 +250,7 @@ class ExplicitSchedule(EpsilonSchedule):
         object.__setattr__(self, "values", values)
 
     def _check_horizon(self, t: int) -> int:
-        t = _check_step(t)
+        t = _as_int(t, "bad_parameter", "step index", 1)
         if t > len(self.values):
             raise ValidationError(
                 "bad_schedule",
@@ -310,269 +302,80 @@ def schedule_from_config(config: Mapping, path: str = "schedule") -> EpsilonSche
 
 
 # ---------------------------------------------------------------------------
-# strategy state and events
+# the selection rule
 # ---------------------------------------------------------------------------
-
-
-class StrategyState:
-    """Running per-arm statistics: play counts and reward/cost sums.
-
-    Means are always derived as sum/count, so they equal the arithmetic
-    mean of the observed values exactly (up to one float division) and
-    can be recomputed from the event log.  Unplayed arms report zero
-    means.
-    """
-
-    __slots__ = ("num_arms", "counts", "reward_sums", "cost_sums", "t")
-
-    def __init__(self, num_arms: int):
-        if num_arms < 2:
-            raise ValidationError("too_few_arms", f"need >= 2 arms, got {num_arms}")
-        self.num_arms = int(num_arms)
-        self.counts = np.zeros(self.num_arms, dtype=np.int64)
-        self.reward_sums = np.zeros(self.num_arms, dtype=np.float64)
-        self.cost_sums = np.zeros(self.num_arms, dtype=np.float64)
-        self.t = 0
-
-    def update(self, arm: int, reward: float, cost: float) -> None:
-        """Record one play of ``arm``; values must lie in [0, 1]."""
-        if not 0 <= arm < self.num_arms:
-            raise ValidationError("bad_parameter", f"arm {arm} out of range")
-        if not 0.0 <= reward <= 1.0:
-            raise ValidationError("out_of_support", f"reward {reward} outside [0, 1]")
-        if not 0.0 <= cost <= 1.0:
-            raise ValidationError("out_of_support", f"cost {cost} outside [0, 1]")
-        self.counts[arm] += 1
-        self.reward_sums[arm] += reward
-        self.cost_sums[arm] += cost
-        self.t += 1
-
-    def mean_rewards(self) -> np.ndarray:
-        return np.divide(
-            self.reward_sums,
-            self.counts,
-            out=np.zeros(self.num_arms),
-            where=self.counts > 0,
-        )
-
-    def mean_costs(self) -> np.ndarray:
-        return np.divide(
-            self.cost_sums,
-            self.counts,
-            out=np.zeros(self.num_arms),
-            where=self.counts > 0,
-        )
-
-    def copy(self) -> "StrategyState":
-        out = StrategyState(self.num_arms)
-        out.counts = self.counts.copy()
-        out.reward_sums = self.reward_sums.copy()
-        out.cost_sums = self.cost_sums.copy()
-        out.t = self.t
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StrategyState)
-            and self.num_arms == other.num_arms
-            and self.t == other.t
-            and np.array_equal(self.counts, other.counts)
-            and np.array_equal(self.reward_sums, other.reward_sums)
-            and np.array_equal(self.cost_sums, other.cost_sums)
-        )
-
-    def __repr__(self):
-        return (
-            f"StrategyState(t={self.t}, counts={self.counts.tolist()}, "
-            f"reward_sums={self.reward_sums.tolist()}, "
-            f"cost_sums={self.cost_sums.tolist()})"
-        )
-
-
-@dataclass(frozen=True)
-class SelectionEvent:
-    """One step of a trajectory: what was picked, why, and what came back."""
-
-    t: int
-    arm: int
-    branch: str
-    reward: float
-    cost: float
-
-
-def current_feasible_estimate(state: StrategyState, constraint_level: float) -> list[int]:
-    """Arms played at least once whose empirical mean cost is within budget.
-
-    The comparison is ``cost_sum <= level * count``, the exact float
-    realization used by every execution path.
-    """
-    return [
-        a
-        for a in range(state.num_arms)
-        if state.counts[a] > 0
-        and state.cost_sums[a] <= constraint_level * state.counts[a]
-    ]
 
 
 def _uniform_index(u: float, n: int) -> int:
     return min(int(u * n), n - 1)
 
 
-def _check_tie_rule(tie_rule: str) -> None:
+def _check_strategy(policy: str, tie_rule: str) -> None:
+    if policy not in POLICIES:
+        raise ValidationError(
+            "bad_config", f"strategy kind must be one of {POLICIES}, got {policy!r}"
+        )
     if tie_rule not in TIE_RULES:
         raise ValidationError(
             "bad_config", f"tie_rule must be one of {TIE_RULES}, got {tie_rule!r}"
         )
 
 
-def _greedy_choice(state: StrategyState, candidates: list[int], u_arm: float, tie_rule: str) -> int:
-    best_value = -math.inf
-    best_arm = -1
-    for a in candidates:
-        value = state.reward_sums[a] / state.counts[a]
-        if value > best_value:
-            best_value = value
-            best_arm = a
-    if tie_rule == TIE_LOWEST_INDEX:
-        return best_arm
-    ties = [
-        a
-        for a in candidates
-        if state.reward_sums[a] / state.counts[a] == best_value
-    ]
-    return ties[_uniform_index(u_arm, len(ties))]
-
-
-def _select(
-    state: StrategyState,
-    eps_t: float,
-    constraint_level: float,
+def greedy_ties(
+    counts: Sequence[int],
+    reward_sums: Sequence,
+    cost_sums: Sequence,
+    level,
     policy: str,
-    source: UniformSource,
     tie_rule: str,
+) -> list[int]:
+    """Arms the greedy branch picks among, by its arm uniform.
+
+    The candidates are the played arms, and under the constrained policy
+    only those that look feasible, ``cost_sum <= level * count``, the
+    boundary included.  The result is the candidates with the largest
+    empirical mean reward ``reward_sum / count``: all of them under the
+    ``uniform`` tie rule, the lowest-indexed one under ``lowest_index``.
+    It is empty when there is no candidate, and the greedy branch then
+    falls back to a uniform arm.  Sums and level may be floats, which
+    gives the simulator's arithmetic, or Fractions, which gives the
+    mathematical rule.
+    """
+    best = None
+    ties = []
+    for a, count in enumerate(counts):
+        if count > 0 and (policy != POLICY_CONSTRAINED or cost_sums[a] <= level * count):
+            mean = reward_sums[a] / count
+            if best is None or mean > best:
+                best, ties = mean, [a]
+            elif mean == best:
+                ties.append(a)
+    return ties if tie_rule == TIE_UNIFORM else ties[:1]
+
+
+def choose_arm(
+    counts: Sequence[int],
+    reward_sums: Sequence[float],
+    cost_sums: Sequence[float],
+    eps_t: float,
+    level: float,
+    policy: str,
+    tie_rule: str,
+    u_branch: float,
+    u_arm: float,
 ) -> tuple[int, str]:
-    # Fixed draw order: branch uniform first, arm uniform second.  The
-    # arm uniform is consumed even when the greedy branch decides without
-    # it, which pins each step to a constant draw budget.
-    u_branch = source.uniform()
-    u_arm = source.uniform()
-    n = state.num_arms
-    if policy == POLICY_UNIFORM:
+    """Arm selected at a step with switching probability ``eps_t``.
+
+    With ``u_branch < eps_t``, or always under the ``uniform`` policy,
+    the arm is uniform over all arms: ``floor(u_arm * n)``.  Otherwise it
+    is drawn by ``u_arm`` from :func:`greedy_ties`, or uniform over all
+    arms when that is empty.  Returns ``(arm, branch)`` where branch is
+    one of ``"random"``, ``"greedy"``, ``"greedy_fallback_uniform"``.
+    """
+    n = len(counts)
+    if policy == POLICY_UNIFORM or u_branch < eps_t:
         return _uniform_index(u_arm, n), BRANCH_RANDOM
-    if u_branch < eps_t:
-        return _uniform_index(u_arm, n), BRANCH_RANDOM
-    if policy == POLICY_CONSTRAINED:
-        candidates = current_feasible_estimate(state, constraint_level)
-    else:
-        candidates = [a for a in range(n) if state.counts[a] > 0]
-    if not candidates:
+    ties = greedy_ties(counts, reward_sums, cost_sums, level, policy, tie_rule)
+    if not ties:
         return _uniform_index(u_arm, n), BRANCH_FALLBACK
-    return _greedy_choice(state, candidates, u_arm, tie_rule), BRANCH_GREEDY
-
-
-def select_arm(
-    state: StrategyState,
-    schedule: EpsilonSchedule,
-    t: int,
-    constraint_level: float,
-    source: UniformSource,
-    tie_rule: str = TIE_LOWEST_INDEX,
-) -> tuple[int, str]:
-    """Constrained epsilon-greedy selection for step ``t``.
-
-    With probability ``epsilon(t)`` the arm is uniform over all arms;
-    otherwise the arm maximizes the empirical mean reward over the
-    currently-feasible estimate, falling back to a uniform draw when
-    that estimate is empty.  Returns ``(arm, branch)`` where branch is
-    one of ``"greedy"``, ``"greedy_fallback_uniform"``, ``"random"``.
-    Consumes exactly two uniforms.
-    """
-    _check_tie_rule(tie_rule)
-    return _select(
-        state, schedule.epsilon(t), constraint_level, POLICY_CONSTRAINED, source, tie_rule
-    )
-
-
-def baseline_select(
-    state: StrategyState,
-    schedule: EpsilonSchedule,
-    t: int,
-    policy_kind: str,
-    source: UniformSource,
-    tie_rule: str = TIE_LOWEST_INDEX,
-) -> tuple[int, str]:
-    """Reference policies: ``uniform`` or ``unconstrained_eps_greedy``.
-
-    The unconstrained variant greedily maximizes empirical mean reward
-    over all played arms, ignoring costs.  Both consume the same two
-    uniforms per step as the constrained strategy.
-    """
-    _check_tie_rule(tie_rule)
-    if policy_kind not in (POLICY_UNIFORM, POLICY_UNCONSTRAINED):
-        raise ValidationError(
-            "bad_config",
-            f"policy_kind must be '{POLICY_UNIFORM}' or '{POLICY_UNCONSTRAINED}', "
-            f"got {policy_kind!r}",
-        )
-    eps_t = 0.0 if policy_kind == POLICY_UNIFORM else schedule.epsilon(t)
-    return _select(state, eps_t, math.inf, policy_kind, source, tie_rule)
-
-
-def step(
-    instance: ProblemInstance,
-    state: StrategyState,
-    schedule: EpsilonSchedule,
-    t: int,
-    source: UniformSource,
-    tie_rule: str = TIE_LOWEST_INDEX,
-    policy: str = POLICY_CONSTRAINED,
-) -> SelectionEvent:
-    """Select, sample the chosen arm's reward and cost, update the state.
-
-    Consumes exactly four uniforms: branch, arm, reward, cost.
-    """
-    _check_tie_rule(tie_rule)
-    if policy not in POLICIES:
-        raise ValidationError("bad_config", f"unknown policy {policy!r}")
-    eps_t = schedule.epsilon(t)
-    arm, branch = _select(
-        state, eps_t, instance.constraint_level, policy, source, tie_rule
-    )
-    reward = instance.arms[arm].reward.quantile(source.uniform())
-    cost = instance.arms[arm].cost.quantile(source.uniform())
-    state.update(arm, reward, cost)
-    return SelectionEvent(t=t, arm=arm, branch=branch, reward=reward, cost=cost)
-
-
-def simulate(
-    instance: ProblemInstance,
-    schedule: EpsilonSchedule,
-    horizon: int,
-    source: UniformSource,
-    policy: str = POLICY_CONSTRAINED,
-    tie_rule: str = TIE_LOWEST_INDEX,
-) -> list[SelectionEvent]:
-    """Run one trajectory of ``horizon`` steps and return its event log."""
-    _check_tie_rule(tie_rule)
-    if policy not in POLICIES:
-        raise ValidationError("bad_config", f"unknown policy {policy!r}")
-    eps = schedule.epsilons(horizon)
-    state = StrategyState(instance.num_arms)
-    arms = instance.arms
-    level = instance.constraint_level
-    events = []
-    for t in range(1, horizon + 1):
-        arm, branch = _select(state, eps[t - 1], level, policy, source, tie_rule)
-        reward = arms[arm].reward.quantile(source.uniform())
-        cost = arms[arm].cost.quantile(source.uniform())
-        state.update(arm, reward, cost)
-        events.append(SelectionEvent(t=t, arm=arm, branch=branch, reward=reward, cost=cost))
-    return events
-
-
-def replay_events(num_arms: int, events: Sequence[SelectionEvent]) -> StrategyState:
-    """Rebuild the strategy state implied by an event log."""
-    state = StrategyState(num_arms)
-    for event in events:
-        state.update(event.arm, event.reward, event.cost)
-    return state
+    return ties[_uniform_index(u_arm, len(ties))], BRANCH_GREEDY

@@ -13,10 +13,10 @@ from cbandits import (
     Arm,
     Bernoulli,
     Beta,
+    Discrete,
     PointMass,
     ProblemInstance,
     ValidationError,
-    trial_stream,
 )
 from cbandits.analysis import (
     BRUTEFORCE_MAX_ARMS,
@@ -30,11 +30,13 @@ from cbandits.analysis import (
     optimal_feasible_arms,
     reward_separation,
 )
+from cbandits.harness import ExperimentConfig, run_experiment, run_trial, wilson_interval
 from cbandits.strategies import (
+    POLICY_UNCONSTRAINED,
+    POLICY_UNIFORM,
     TIE_UNIFORM,
     ConstantSchedule,
     InverseTimeSchedule,
-    simulate,
 )
 
 
@@ -54,6 +56,17 @@ def two_arm_instance() -> ProblemInstance:
         arms=(
             Arm(PointMass(0.7), PointMass(0.3)),
             Arm(PointMass(0.5), PointMass(0.7)),
+        ),
+        constraint_level=0.5,
+    )
+
+
+def bernoulli_instance() -> ProblemInstance:
+    # Row B of the acceptance panel: 1.0 - 0.3 is not exact in doubles.
+    return ProblemInstance(
+        arms=(
+            Arm(Bernoulli(0.7), Bernoulli(0.3)),
+            Arm(Bernoulli(0.5), Bernoulli(0.7)),
         ),
         constraint_level=0.5,
     )
@@ -110,9 +123,10 @@ class TestFeasibleSet:
             assert smaller <= larger
 
     def test_rejects_non_numeric(self):
-        with pytest.raises(ValidationError) as err:
-            feasible_set(three_arm_instance(), "0.1")
-        assert err.value.code == "bad_parameter"
+        for bad in ("0.1", math.inf, math.nan):
+            with pytest.raises(ValidationError) as err:
+                feasible_set(three_arm_instance(), bad)
+            assert err.value.code == "bad_parameter"
 
 
 class TestSeparations:
@@ -272,6 +286,23 @@ class TestOracleFrozenValues:
         assert uniform.arm_probabilities_exact == (Fraction(1, 2), Fraction(1, 2))
         assert lowest.arm_probabilities_exact == (Fraction(9, 16), Fraction(7, 16))
 
+    def test_exact_law_sums_to_one_with_inexact_complements(self):
+        result = exact_selection_probability(
+            bernoulli_instance(), InverseTimeSchedule(3.0), 6, method="fraction"
+        )
+        assert sum(result.arm_probabilities_exact) == 1
+        assert result.nodes == 37_449
+        # The doubles 0.3 and 0.7 sum to 1 - 5.6e-17.
+        discrete = ProblemInstance(
+            arms=(
+                Arm(PointMass(0.7), PointMass(0.2)),
+                Arm(PointMass(0.5), Discrete((0.0, 1.0), (0.3, 0.7))),
+            ),
+            constraint_level=0.5,
+        )
+        result = exact_selection_probability(discrete, InverseTimeSchedule(3.0), 5)
+        assert sum(result.arm_probabilities_exact) == 1
+
     def test_delta_events_accumulate_best_arms(self):
         inst = three_arm_instance()
         result = exact_selection_probability(
@@ -311,6 +342,38 @@ class TestOracleMethods:
         assert blob["arm_probabilities"] == [0.625, 0.375]
         assert blob["arm_probabilities_exact"] == ["5/8", "3/8"]
         assert blob["delta_events"] == [{"delta": 0.0, "probability": 0.625}]
+
+
+class TestOraclePolicies:
+    def test_uniform_policy_is_uniform_at_every_step(self):
+        result = exact_selection_probability(
+            bernoulli_instance(), InverseTimeSchedule(1.5), 4, policy=POLICY_UNIFORM
+        )
+        assert result.arm_probabilities_exact == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_unconstrained_policy_matches_monte_carlo(self):
+        instance = bernoulli_instance()
+        schedule = InverseTimeSchedule(1.5)
+        t = 4
+        oracle = exact_selection_probability(
+            instance, schedule, t, deltas=(0.0,), policy=POLICY_UNCONSTRAINED
+        )
+        constrained = exact_selection_probability(instance, schedule, t, deltas=(0.0,))
+        config = ExperimentConfig(
+            instance=instance,
+            schedule=schedule,
+            checkpoints=(t,),
+            deltas=(0.0,),
+            replications=50_000,
+            master_seed=41,
+            policy=POLICY_UNCONSTRAINED,
+        )
+        estimate = run_experiment(config).estimates[0]
+        low, high = wilson_interval(estimate.successes, estimate.replications, z=4.0)
+        p = oracle.event_probability(0.0)
+        assert low <= p <= high, (p, low, high)
+        # The constrained law is a different number, far outside the interval.
+        assert not low <= constrained.event_probability(0.0) <= high
 
 
 class TestOracleValidation:
@@ -362,6 +425,8 @@ class TestOracleValidation:
             exact_selection_probability(inst, ConstantSchedule(0.5), 2, deltas=(-0.1,))
         with pytest.raises(ValidationError):
             exact_selection_probability(inst, ConstantSchedule(0.5), 2, tie_rule="coin")
+        with pytest.raises(ValidationError):
+            exact_selection_probability(inst, ConstantSchedule(0.5), 2, policy="greedy")
 
 
 class TestOracleAgainstSimulation:
@@ -377,11 +442,18 @@ class TestOracleAgainstSimulation:
         t = 3
         oracle = exact_selection_probability(inst, schedule, t, deltas=(0.0,))
         replications = 20_000
+        config = ExperimentConfig(
+            instance=inst,
+            schedule=schedule,
+            checkpoints=(t,),
+            deltas=(0.0,),
+            replications=replications,
+            master_seed=777,
+        )
         hits = np.zeros(inst.num_arms, dtype=np.int64)
         for rep in range(replications):
-            source = trial_stream(777, rep, horizon=t)
-            events = simulate(inst, schedule, t, source)
-            hits[events[-1].arm] += 1
+            (record,) = run_trial(config, rep)
+            hits[record.arm] += 1
         for arm in range(inst.num_arms):
             p = oracle.arm_probabilities[arm]
             width = 4.0 * math.sqrt(p * (1.0 - p) / replications)

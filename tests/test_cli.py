@@ -351,6 +351,27 @@ class TestOracle:
         assert "config error [continuous_support]" in err
         assert "continuous support" in err
 
+    def test_follows_strategy_kind(self, tmp_path, capsys):
+        def oracle(text, name):
+            config_path = write_config(tmp_path, text, name)
+            assert main(["oracle", "--config", config_path, "--t", "3"]) == 0
+            return capsys.readouterr().out
+
+        default = oracle(ORACLE_CONFIG, "default.yaml")
+        # By hand: once arm 0 is played it is picked w.p. 3/4, and after two
+        # steps it is unplayed w.p. 1/4: 3/4 * 3/4 + 1/4 * 1/2 = 11/16.
+        assert json.loads(default)["arm_probabilities_exact"] == ["11/16", "5/16"]
+        explicit = ORACLE_CONFIG + "strategy: {kind: constrained_eps_greedy}\n"
+        assert oracle(explicit, "explicit.yaml") == default
+        uniform = oracle(ORACLE_CONFIG + "strategy: {kind: uniform}\n", "uniform.yaml")
+        assert json.loads(uniform)["arm_probabilities_exact"] == ["1/2", "1/2"]
+
+    def test_unknown_strategy_kind_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, ORACLE_CONFIG + "strategy: {kind: thompson}\n")
+        code = main(["oracle", "--config", config_path, "--t", "2"])
+        assert code == 2
+        assert "config error [bad_config]" in capsys.readouterr().err
+
     def test_horizon_cap_exits_2(self, tmp_path, capsys):
         config_path = write_config(tmp_path, ORACLE_CONFIG)
         code = main(["oracle", "--config", config_path, "--t", "40"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +15,11 @@ from cbandits.core import (
     Discrete,
     PointMass,
     ProblemInstance,
-    UniformSource,
     ValidationError,
     distribution_from_config,
     experiment_key,
     instance_from_config,
-    trial_stream,
+    trial_streams,
 )
 
 # Frozen exact moments, computed by hand from the closed forms.
@@ -107,8 +107,7 @@ def test_beta_quantile_inverts_cdf():
 
 @pytest.mark.parametrize("dist,_m,_v", EXPECTED_MOMENTS)
 def test_samples_stay_in_unit_interval(dist, _m, _v):
-    source = UniformSource(np.random.default_rng(7))
-    values = dist.sample_many(source, 20_000)
+    values = np.asarray(dist.quantile(np.random.default_rng(7).random(20_000)))
     assert values.min() >= 0.0
     assert values.max() <= 1.0
 
@@ -116,14 +115,31 @@ def test_samples_stay_in_unit_interval(dist, _m, _v):
 @pytest.mark.parametrize("dist,mean,variance", EXPECTED_MOMENTS)
 def test_law_of_large_numbers(dist, mean, variance):
     n = 1_000_000
-    source = UniformSource(np.random.default_rng(20260819))
-    values = dist.sample_many(source, n)
+    values = np.asarray(dist.quantile(np.random.default_rng(20260819).random(n)))
     # Four-sigma band around the exact mean, plus float-summation slack.
     tol = 4.0 * math.sqrt(variance / n) + 1e-12
     assert abs(values.mean() - mean) <= tol
     if variance > 0.0:
         sample_var = values.var()
         assert abs(sample_var - variance) <= 12.0 * variance / math.sqrt(n) + 1e-12
+
+
+def test_exact_support_law_sums_to_one():
+    # 1.0 - 0.3 rounds, so the float complement is not the law of quantile(U).
+    assert Bernoulli(0.3).support_probabilities(exact=True) == (
+        1 - Fraction(0.3), Fraction(0.3))
+    assert sum(Bernoulli(0.3).support_probabilities(exact=True)) == 1
+    assert Bernoulli(0.3).support_probabilities() == (1.0 - 0.3, 0.3)
+    dist = Discrete((0.0, 1.0), (0.3, 0.7))
+    assert dist.support_probabilities(exact=True) == (Fraction(0.3), 1 - Fraction(0.3))
+    assert dist.support_probabilities() == (0.3, 0.7)
+    assert sum(Fraction(p) for p in dist.support_probabilities()) != 1
+    # Atoms are the cells of quantile: [0, _cum[0]), [_cum[0], _cum[1]), ...
+    dist = Discrete((0.0, 0.5, 1.0), (0.1, 0.2, 0.7))
+    law = dist.support_probabilities(exact=True)
+    assert sum(law) == 1
+    assert law[1] == Fraction(0.1 + 0.2) - Fraction(0.1)
+    assert PointMass(0.4).support_probabilities(exact=True) == (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -241,46 +257,33 @@ def test_instance_config_rejects_unknown_key():
 # ---------------------------------------------------------------------------
 
 
-def test_uniform_source_scalar_equals_bulk():
-    a = UniformSource(np.random.default_rng(11), block=3)
-    b = UniformSource(np.random.default_rng(11), block=1000)
-    scalars = np.array([a.uniform() for _ in range(257)])
-    assert np.array_equal(scalars, b.uniforms(257))
-
-
-def test_uniform_source_mixed_consumption_preserves_order():
-    a = UniformSource(np.random.default_rng(5), block=7)
-    b = np.random.default_rng(5).random(50)
-    got = []
-    got.extend(a.uniforms(3))
-    got.append(a.uniform())
-    got.extend(a.uniforms(20))
-    got.append(a.uniform())
-    got.extend(a.uniforms(25))
-    assert np.array_equal(np.array(got), b)
+def test_trial_streams_row_is_independent_of_block():
+    # The scalar reference draws one replication, the kernel a block: a
+    # replication's uniforms must not depend on which block it is in.
+    block = trial_streams(11, 3, 10, horizon=25)
+    for offset, rep in enumerate(range(3, 10)):
+        assert np.array_equal(block[offset], trial_streams(11, rep, rep + 1, 25)[0])
+    assert block.shape == (7, DRAWS_PER_STEP * 25)
 
 
 def test_trial_stream_is_deterministic():
-    s1 = trial_stream(123, 4, horizon=50)
-    s2 = trial_stream(123, 4, horizon=50)
-    assert np.array_equal(s1.uniforms(200), s2.uniforms(200))
+    first = trial_streams(123, 4, 6, horizon=50)
+    assert np.array_equal(first, trial_streams(123, 4, 6, horizon=50))
 
 
 def test_trial_streams_differ_across_replications_and_seeds():
-    base = trial_stream(123, 0, horizon=50).uniforms(64)
-    assert not np.array_equal(base, trial_stream(123, 1, horizon=50).uniforms(64))
-    assert not np.array_equal(base, trial_stream(124, 0, horizon=50).uniforms(64))
+    base = trial_streams(123, 0, 1, horizon=50)[0]
+    assert not np.array_equal(base, trial_streams(123, 1, 2, horizon=50)[0])
+    assert not np.array_equal(base, trial_streams(124, 0, 1, horizon=50)[0])
 
 
 def test_trial_streams_are_disjoint_windows():
-    # Full-horizon consumption of consecutive replications tiles one
-    # global counter sequence with no overlap.
+    # Full-horizon streams of consecutive replications tile one global
+    # counter sequence with no overlap.
     horizon = 13
-    draws = DRAWS_PER_STEP * horizon
-    tiled = np.concatenate(
-        [trial_stream(9, r, horizon).uniforms(draws) for r in range(5)]
-    )
+    tiled = np.concatenate([trial_streams(9, r, r + 1, horizon)[0] for r in range(5)])
     assert np.unique(tiled).size == tiled.size
+    assert np.array_equal(tiled, trial_streams(9, 0, 5, horizon).ravel())
 
 
 def test_experiment_key_validation():
@@ -291,10 +294,13 @@ def test_experiment_key_validation():
     with pytest.raises(ValidationError):
         experiment_key("seed")
     assert experiment_key(7).shape == (2,)
+    assert np.array_equal(experiment_key(np.uint64(7)), experiment_key(7))
 
 
 def test_trial_stream_validation():
     with pytest.raises(ValidationError):
-        trial_stream(1, -1, horizon=10)
+        trial_streams(1, -1, 0, horizon=10)
     with pytest.raises(ValidationError):
-        trial_stream(1, 0, horizon=0)
+        trial_streams(1, 0, 1, horizon=0)
+    with pytest.raises(ValidationError):
+        trial_streams(1, 2, 2, horizon=10)

@@ -31,7 +31,6 @@ from cbandits.strategies import (
     TIE_UNIFORM,
     ConstantSchedule,
     InverseTimeSchedule,
-    SelectionEvent,
 )
 from cbandits.analysis import delta_best_arms, exact_selection_probability
 import cbandits.harness as harness
@@ -42,7 +41,6 @@ from cbandits.harness import (
     run_chunk,
     run_experiment,
     run_trial,
-    regret_metric,
     wilson_interval,
     write_results_csv,
     write_summary_json,
@@ -155,6 +153,26 @@ class TestKernelMatchesReference:
                 assert rec.cumulative_cost == chunk.trajectory_costs[ci, rep]
                 successes[ci] += np.asarray(rec.events, dtype=np.int64)
         assert np.array_equal(successes, chunk.successes)
+
+    def test_checkpoint_totals_are_exact_sums(self):
+        # The totals must not depend on how numpy orders a reduction, so
+        # they are the correctly rounded sums of the per-replication totals.
+        config = ExperimentConfig(
+            instance=mixed_instance(),
+            schedule=InverseTimeSchedule(5.0),
+            checkpoints=(1, 7, 50),
+            deltas=(0.0,),
+            replications=48,
+            master_seed=2026,
+            tie_rule=TIE_UNIFORM,
+        )
+        chunk = run_chunk(config, 0, config.replications)
+        records = [run_trial(config, rep) for rep in range(config.replications)]
+        for ci in range(len(config.checkpoints)):
+            rewards = [rec[ci].cumulative_reward for rec in records]
+            costs = [rec[ci].cumulative_cost for rec in records]
+            assert chunk.cum_reward_total[ci] == math.fsum(rewards)
+            assert chunk.cum_cost_total[ci] == math.fsum(costs)
 
     def test_chunk_split_invariance(self):
         config = base_config(replications=40, checkpoints=(1, 9, 60))
@@ -340,34 +358,6 @@ class TestParallelism:
             assert all(hi > lo for lo, hi in bounds)
 
 
-class TestRegretMetric:
-    def test_optimal_play_has_zero_regret(self):
-        instance = separated_instance()
-        events = [
-            SelectionEvent(t=i + 1, arm=0, branch="greedy", reward=1.0, cost=0.0)
-            for i in range(5)
-        ]
-        assert regret_metric(events, instance) == 0.0
-
-    def test_single_suboptimal_play(self):
-        instance = separated_instance()
-        events = [SelectionEvent(t=1, arm=1, branch="random", reward=0.0, cost=1.0)]
-        assert regret_metric(events, instance) == pytest.approx(0.2, abs=1e-15)
-
-    def test_optimum_is_over_feasible_arms_only(self):
-        instance = ProblemInstance(
-            arms=(
-                Arm(PointMass(0.9), PointMass(0.9)),
-                Arm(PointMass(0.6), PointMass(0.1)),
-            ),
-            constraint_level=0.5,
-        )
-        events = [SelectionEvent(t=1, arm=0, branch="random", reward=0.9, cost=0.9)]
-        # Playing the infeasible high-reward arm scores against the
-        # feasible optimum 0.6, giving negative regret, not zero.
-        assert regret_metric(events, instance) == pytest.approx(-0.3, abs=1e-15)
-
-
 class TestOutputs:
     def test_results_csv_golden_bytes(self, tmp_path):
         estimates = [
@@ -476,6 +466,12 @@ class TestConfigValidation:
         reject(tie_rule="alphabetical")
         reject(instance="not an instance")
         reject(schedule="not a schedule")
+        reject(replications=True)
+        # Integral numpy values are integers; they are stored as ints.
+        config = ExperimentConfig(
+            **{**good, "checkpoints": np.array([1, 2]), "replications": np.int64(4)}
+        )
+        assert config.checkpoints == (1, 2) and type(config.replications) is int
 
     def test_run_trial_validates_index(self):
         with pytest.raises(ValidationError):

@@ -8,51 +8,34 @@ import numpy as np
 import pytest
 from scipy.special import digamma
 
+from cbandits.analysis import exact_selection_probability
 from cbandits.core import (
+    DRAWS_PER_STEP,
     Arm,
     Bernoulli,
     Discrete,
     PointMass,
     ProblemInstance,
-    UniformSource,
     ValidationError,
-    trial_stream,
+    trial_streams,
 )
+from cbandits.harness import ExperimentConfig, run_trial
 from cbandits.strategies import (
     BRANCH_FALLBACK,
     BRANCH_GREEDY,
     BRANCH_RANDOM,
+    POLICY_CONSTRAINED,
     POLICY_UNCONSTRAINED,
     POLICY_UNIFORM,
+    TIE_LOWEST_INDEX,
     TIE_UNIFORM,
     ConstantSchedule,
     ExplicitSchedule,
     InverseTimeSchedule,
-    SelectionEvent,
-    StrategyState,
-    baseline_select,
-    current_feasible_estimate,
-    replay_events,
+    choose_arm,
+    greedy_ties,
     schedule_from_config,
-    select_arm,
-    simulate,
-    step,
 )
-
-
-class Scripted:
-    """Uniform source fed from a fixed list, counting consumption."""
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.consumed = 0
-
-    def uniform(self):
-        self.consumed += 1
-        return self.values.pop(0)
-
-    def uniforms(self, n):
-        return np.array([self.uniform() for _ in range(n)])
 
 
 def bern_instance(mu=(0.7, 0.5), costs=(0.3, 0.7), level=0.5) -> ProblemInstance:
@@ -62,12 +45,36 @@ def bern_instance(mu=(0.7, 0.5), costs=(0.3, 0.7), level=0.5) -> ProblemInstance
     )
 
 
-def example_state() -> StrategyState:
+def played(num_arms, *plays):
+    """(counts, reward_sums, cost_sums) after the (arm, reward, cost) plays."""
+    counts, reward_sums, cost_sums = [0] * num_arms, [0.0] * num_arms, [0.0] * num_arms
+    for arm, reward, cost in plays:
+        counts[arm] += 1
+        reward_sums[arm] += reward
+        cost_sums[arm] += cost
+    return counts, reward_sums, cost_sums
+
+
+def example_state():
     # One play per arm; arm 0 looks good and feasible, arm 1 infeasible.
-    state = StrategyState(2)
-    state.update(0, 1.0, 0.0)
-    state.update(1, 0.0, 1.0)
-    return state
+    return played(2, (0, 1.0, 0.0), (1, 0.0, 1.0))
+
+
+def select(state, eps, u_branch, u_arm, level=0.5, policy=POLICY_CONSTRAINED,
+           tie_rule=TIE_LOWEST_INDEX):
+    return choose_arm(*state, eps, level, policy, tie_rule, u_branch, u_arm)
+
+
+def trial_config(instance, schedule, checkpoints, master_seed, **kwargs) -> ExperimentConfig:
+    return ExperimentConfig(
+        instance=instance,
+        schedule=schedule,
+        checkpoints=tuple(checkpoints),
+        deltas=(0.0,),
+        replications=8,
+        master_seed=master_seed,
+        **kwargs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,58 +204,32 @@ def test_schedule_config_errors():
 
 
 # ---------------------------------------------------------------------------
-# state
+# greedy set
 # ---------------------------------------------------------------------------
 
 
-def test_state_means_are_arithmetic_means():
-    state = StrategyState(3)
-    rewards = [0.1, 0.7, 0.3, 0.9, 0.2]
-    costs = [0.2, 0.4, 0.8, 0.1, 0.5]
-    for r, c in zip(rewards, costs):
-        state.update(1, r, c)
-    assert state.t == 5
-    assert state.counts.tolist() == [0, 5, 0]
-    assert abs(state.mean_rewards()[1] - math.fsum(rewards) / 5) <= 1e-12
-    assert abs(state.mean_costs()[1] - math.fsum(costs) / 5) <= 1e-12
-    # Unplayed arms report zeros.
-    assert state.mean_rewards()[0] == 0.0
-    assert state.mean_costs()[2] == 0.0
-
-
-def test_state_update_validation():
-    state = StrategyState(2)
-    with pytest.raises(ValidationError):
-        state.update(0, 1.2, 0.5)
-    with pytest.raises(ValidationError):
-        state.update(0, 0.5, -0.1)
-    with pytest.raises(ValidationError):
-        state.update(2, 0.5, 0.5)
-    assert state.t == 0
-
-
-def test_state_copy_and_eq():
-    state = example_state()
-    clone = state.copy()
-    assert clone == state
-    clone.update(0, 0.5, 0.5)
-    assert clone != state
-
-
 def test_feasible_estimate_boundary_is_inclusive():
-    state = StrategyState(2)
-    state.update(0, 0.5, 0.5)
-    state.update(1, 0.5, 0.5)
-    state.update(1, 0.5, 0.5)
+    state = played(2, (0, 0.5, 0.5), (1, 0.5, 0.5), (1, 0.5, 0.5))
     # Mean cost exactly at the level counts as feasible.
-    assert current_feasible_estimate(state, 0.5) == [0, 1]
-    assert current_feasible_estimate(state, 0.4999) == []
+    assert greedy_ties(*state, 0.5, POLICY_CONSTRAINED, TIE_UNIFORM) == [0, 1]
+    assert greedy_ties(*state, 0.4999, POLICY_CONSTRAINED, TIE_UNIFORM) == []
 
 
 def test_feasible_estimate_requires_a_play():
-    state = StrategyState(3)
-    state.update(2, 0.9, 0.0)
-    assert current_feasible_estimate(state, 0.5) == [2]
+    state = played(3, (2, 0.9, 0.0))
+    assert greedy_ties(*state, 0.5, POLICY_CONSTRAINED, TIE_UNIFORM) == [2]
+
+
+def test_greedy_ties_in_exact_arithmetic():
+    # Two plays each: 0.1 + 0.2 against 0.3 + 0.0.  In rationals the means
+    # tie; the float sum 0.1 + 0.2 rounds up, so floats put arm 0 ahead.
+    plays = ((0, 0.1, 0.0), (0, 0.2, 0.0), (1, 0.3, 0.0), (1, 0.0, 0.0))
+    assert greedy_ties(*played(2, *plays), 0.5, POLICY_CONSTRAINED, TIE_UNIFORM) == [0]
+    exact = [Fraction(1, 10) + Fraction(1, 5), Fraction(3, 10)]
+    zero = [Fraction(0)] * 2
+    half = Fraction(1, 2)
+    assert greedy_ties([2, 2], exact, zero, half, POLICY_CONSTRAINED, TIE_UNIFORM) == [0, 1]
+    assert greedy_ties([2, 2], exact, zero, half, POLICY_CONSTRAINED, TIE_LOWEST_INDEX) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,35 +238,30 @@ def test_feasible_estimate_requires_a_play():
 
 
 def test_select_arm_scripted_branches():
-    sched = ConstantSchedule(0.5)
     # Greedy branch: feasible estimate is {0}, so arm 0 wins.
-    arm, branch = select_arm(example_state(), sched, 3, 0.5, Scripted([0.6, 0.9]))
-    assert (arm, branch) == (0, BRANCH_GREEDY)
+    assert select(example_state(), 0.5, 0.6, 0.9) == (0, BRANCH_GREEDY)
     # Random branch maps the arm uniform through floor(u * n).
-    arm, branch = select_arm(example_state(), sched, 3, 0.5, Scripted([0.4, 0.3]))
-    assert (arm, branch) == (0, BRANCH_RANDOM)
-    arm, branch = select_arm(example_state(), sched, 3, 0.5, Scripted([0.4, 0.6]))
-    assert (arm, branch) == (1, BRANCH_RANDOM)
+    assert select(example_state(), 0.5, 0.4, 0.3) == (0, BRANCH_RANDOM)
+    assert select(example_state(), 0.5, 0.4, 0.6) == (1, BRANCH_RANDOM)
 
 
 def test_select_arm_probability_by_exact_enumeration():
     # With eps = 0.5 and the example state, quadrant midpoints of the two
     # uniforms carry equal probability 1/4 each; arm 0 wins three of four.
-    sched = ConstantSchedule(0.5)
     wins = 0
     for u_branch in (0.25, 0.75):
         for u_arm in (0.25, 0.75):
-            arm, _ = select_arm(example_state(), sched, 3, 0.5, Scripted([u_branch, u_arm]))
+            arm, _ = select(example_state(), 0.5, u_branch, u_arm)
             wins += arm == 0
     assert wins == 3  # probability 0.75
 
 
 def test_select_arm_probability_by_frequency():
-    sched = ConstantSchedule(0.5)
-    source = UniformSource(np.random.default_rng(42))
     n = 40_000
+    draws = np.random.default_rng(42).random(2 * n).tolist()
     wins = sum(
-        select_arm(example_state(), sched, 3, 0.5, source)[0] == 0 for _ in range(n)
+        select(example_state(), 0.5, draws[2 * i], draws[2 * i + 1])[0] == 0
+        for i in range(n)
     )
     # Four-sigma band around 0.75.
     assert abs(wins / n - 0.75) <= 4.0 * math.sqrt(0.75 * 0.25 / n)
@@ -293,45 +269,37 @@ def test_select_arm_probability_by_frequency():
 
 def test_exploration_floor_exact():
     # P{arm 1} = eps/2 = 0.25: only the random branch with u_arm >= 0.5.
-    sched = ConstantSchedule(0.5)
     hits = 0
     grid = 20
     for i in range(grid):
         for j in range(grid):
-            u = ((i + 0.5) / grid, (j + 0.5) / grid)
-            arm, _ = select_arm(example_state(), sched, 3, 0.5, Scripted(list(u)))
+            arm, _ = select(example_state(), 0.5, (i + 0.5) / grid, (j + 0.5) / grid)
             hits += arm == 1
     assert hits / grid**2 == pytest.approx(0.25, abs=0)
 
 
 def test_fallback_branch_when_nothing_played():
-    state = StrategyState(2)
-    arm, branch = select_arm(state, ConstantSchedule(0.5), 1, 0.5, Scripted([0.9, 0.7]))
-    assert branch == BRANCH_FALLBACK
-    assert arm == 1
+    assert select(played(2), 0.5, 0.9, 0.7) == (1, BRANCH_FALLBACK)
 
 
 def test_fallback_branch_when_all_look_infeasible():
-    state = StrategyState(2)
-    state.update(0, 0.5, 1.0)
-    state.update(1, 0.5, 0.9)
-    arm, branch = select_arm(state, ConstantSchedule(0.5), 3, 0.5, Scripted([0.9, 0.1]))
-    assert branch == BRANCH_FALLBACK
-    assert arm == 0
+    state = played(2, (0, 0.5, 1.0), (1, 0.5, 0.9))
+    assert select(state, 0.5, 0.9, 0.1) == (0, BRANCH_FALLBACK)
 
 
 def test_greedy_stays_inside_feasible_estimate():
     rng = np.random.default_rng(3)
     for _ in range(200):
         n = int(rng.integers(2, 6))
-        state = StrategyState(n)
+        plays = []
         for a in range(n):
             for _ in range(int(rng.integers(0, 4))):
-                state.update(a, float(rng.random()), float(rng.random()))
-        feasible = current_feasible_estimate(state, 0.5)
-        arm, branch = select_arm(
-            state, ConstantSchedule(0.25), state.t + 1, 0.5, Scripted([0.99, rng.random()])
-        )
+                plays.append((a, float(rng.random()), float(rng.random())))
+        counts, reward_sums, cost_sums = state = played(n, *plays)
+        feasible = [
+            a for a in range(n) if counts[a] > 0 and cost_sums[a] <= 0.5 * counts[a]
+        ]
+        arm, branch = select(state, 0.25, 0.99, rng.random())
         if feasible:
             assert branch == BRANCH_GREEDY
             assert arm in feasible
@@ -340,50 +308,40 @@ def test_greedy_stays_inside_feasible_estimate():
 
 
 def test_tie_breaking_lowest_index_default():
-    state = StrategyState(3)
-    state.update(0, 0.5, 0.0)
-    state.update(1, 0.5, 0.0)
-    state.update(2, 0.5, 0.0)
-    arm, branch = select_arm(state, ConstantSchedule(0.5), 4, 0.5, Scripted([0.9, 0.99]))
-    assert (arm, branch) == (0, BRANCH_GREEDY)
+    state = played(3, (0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.5, 0.0))
+    assert select(state, 0.5, 0.9, 0.99) == (0, BRANCH_GREEDY)
 
 
 def test_tie_breaking_uniform_uses_arm_draw():
-    state = StrategyState(3)
-    state.update(0, 0.5, 0.0)
-    state.update(1, 0.5, 0.0)
-    state.update(2, 0.2, 0.0)
+    state = played(3, (0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.2, 0.0))
     # Ties are {0, 1}; u_arm = 0.6 selects index 1 of the tie list.
-    arm, branch = select_arm(
-        state, ConstantSchedule(0.5), 4, 0.5, Scripted([0.9, 0.6]), tie_rule=TIE_UNIFORM
-    )
-    assert (arm, branch) == (1, BRANCH_GREEDY)
-    arm, _ = select_arm(
-        state, ConstantSchedule(0.5), 4, 0.5, Scripted([0.9, 0.3]), tie_rule=TIE_UNIFORM
-    )
-    assert arm == 0
+    assert select(state, 0.5, 0.9, 0.6, tie_rule=TIE_UNIFORM) == (1, BRANCH_GREEDY)
+    assert select(state, 0.5, 0.9, 0.3, tie_rule=TIE_UNIFORM)[0] == 0
 
 
 def test_selection_is_scale_invariant():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        state = StrategyState(3)
-        scaled = StrategyState(3)
+        plays, scaled = [], []
         for a in range(3):
-            plays = int(rng.integers(1, 4))
-            for _ in range(plays):
+            for _ in range(int(rng.integers(1, 4))):
                 r, c = float(rng.random()), float(rng.random())
-                state.update(a, r, c)
-                scaled.update(a, 0.25 * r, c)
-        draws = [0.99, float(rng.random())]
-        a1, _ = select_arm(state, ConstantSchedule(0.5), 9, 0.5, Scripted(list(draws)))
-        a2, _ = select_arm(scaled, ConstantSchedule(0.5), 9, 0.5, Scripted(list(draws)))
+                plays.append((a, r, c))
+                scaled.append((a, 0.25 * r, c))
+        u_arm = float(rng.random())
+        a1, _ = select(played(3, *plays), 0.5, 0.99, u_arm)
+        a2, _ = select(played(3, *scaled), 0.5, 0.99, u_arm)
         assert a1 == a2
 
 
 def test_select_arm_rejects_bad_tie_rule():
-    with pytest.raises(ValidationError):
-        select_arm(example_state(), ConstantSchedule(0.5), 1, 0.5, Scripted([0.1, 0.1]), tie_rule="coin")
+    # The rule trusts its caller; the experiment config and the oracle check.
+    with pytest.raises(ValidationError) as err:
+        trial_config(bern_instance(), ConstantSchedule(0.5), (1,), 0, tie_rule="coin")
+    assert err.value.code == "bad_config"
+    with pytest.raises(ValidationError) as err:
+        exact_selection_probability(bern_instance(), ConstantSchedule(0.5), 1, tie_rule="coin")
+    assert err.value.code == "bad_config"
 
 
 # ---------------------------------------------------------------------------
@@ -392,81 +350,77 @@ def test_select_arm_rejects_bad_tie_rule():
 
 
 def test_uniform_baseline_ignores_state():
-    state = example_state()
-    arm, branch = baseline_select(
-        state, ConstantSchedule(0.5), 3, POLICY_UNIFORM, Scripted([0.99, 0.7])
-    )
-    assert (arm, branch) == (1, BRANCH_RANDOM)
+    assert select(example_state(), 0.5, 0.99, 0.7, policy=POLICY_UNIFORM) == (1, BRANCH_RANDOM)
 
 
 def test_unconstrained_baseline_ignores_costs():
     # Arm 1 has the best empirical reward but is infeasible.
-    state = StrategyState(2)
-    state.update(0, 0.2, 0.0)
-    state.update(1, 0.9, 1.0)
-    greedy_draws = [0.99, 0.3]
-    arm, branch = baseline_select(
-        state, ConstantSchedule(0.5), 3, POLICY_UNCONSTRAINED, Scripted(list(greedy_draws))
-    )
-    assert (arm, branch) == (1, BRANCH_GREEDY)
-    constrained_arm, _ = select_arm(
-        state, ConstantSchedule(0.5), 3, 0.5, Scripted(list(greedy_draws))
-    )
-    assert constrained_arm == 0
+    state = played(2, (0, 0.2, 0.0), (1, 0.9, 1.0))
+    assert select(state, 0.5, 0.99, 0.3, policy=POLICY_UNCONSTRAINED) == (1, BRANCH_GREEDY)
+    assert select(state, 0.5, 0.99, 0.3)[0] == 0
 
 
 def test_baseline_select_rejects_unknown_policy():
-    with pytest.raises(ValidationError):
-        baseline_select(
-            example_state(), ConstantSchedule(0.5), 1, "thompson", Scripted([0.1, 0.1])
-        )
+    with pytest.raises(ValidationError) as err:
+        trial_config(bern_instance(), ConstantSchedule(0.5), (1,), 0, policy="thompson")
+    assert err.value.code == "bad_config"
+    with pytest.raises(ValidationError) as err:
+        exact_selection_probability(bern_instance(), ConstantSchedule(0.5), 1, policy="thompson")
+    assert err.value.code == "bad_config"
 
 
 # ---------------------------------------------------------------------------
-# step and simulate
+# scalar trajectories
 # ---------------------------------------------------------------------------
 
 
 def test_step_point_mass_composition():
+    # Each step reads four uniforms in order: branch, arm, reward, cost.
+    # Point masses leave the last two unused, so a step that read fewer
+    # would pick its arm from the wrong uniform after the first step.
     instance = ProblemInstance(
         arms=(Arm(PointMass(1.0), PointMass(0.0)), Arm(PointMass(0.0), PointMass(1.0))),
         constraint_level=0.5,
     )
-    state = StrategyState(2)
-    source = Scripted([0.9, 0.2, 0.123, 0.456])
-    event = step(instance, state, ConstantSchedule(0.5), 1, source)
-    assert source.consumed == 4
-    assert event == SelectionEvent(t=1, arm=0, branch=BRANCH_FALLBACK, reward=1.0, cost=0.0)
-    assert state.counts.tolist() == [1, 0]
-    assert state.t == 1
+    horizon = 30
+    config = trial_config(instance, ConstantSchedule(0.5), range(1, horizon + 1), 5)
+    uniforms = trial_streams(5, 0, 1, horizon)[0].tolist()
+    counts, reward_sums, cost_sums = state = played(2)
+    for record in run_trial(config, 0):
+        base = DRAWS_PER_STEP * (record.t - 1)
+        arm, _ = select(state, 0.5, uniforms[base], uniforms[base + 1])
+        assert record.arm == arm
+        counts[arm] += 1
+        reward_sums[arm] += instance.arms[arm].reward.value
+        cost_sums[arm] += instance.arms[arm].cost.value
+        assert record.cumulative_reward == sum(reward_sums)
+        assert record.cumulative_cost == sum(cost_sums)
+    assert sum(counts) == horizon
+    # The first step has nothing played, so it falls back to floor(2 u_arm).
+    assert select(played(2), 0.5, 0.9, 0.2) == (0, BRANCH_FALLBACK)
 
 
 def test_simulate_count_conservation_and_replay():
-    instance = bern_instance()
     horizon = 10_000
-    events = simulate(
-        instance, InverseTimeSchedule(20.0), horizon, trial_stream(77, 0, horizon)
-    )
-    assert len(events) == horizon
-    assert [e.t for e in events] == list(range(1, horizon + 1))
-    replayed = replay_events(instance.num_arms, events)
-    assert replayed.t == horizon
-    assert int(replayed.counts.sum()) == horizon
-    # Replay reproduces the live state bit for bit.
-    live = StrategyState(instance.num_arms)
-    source = trial_stream(77, 0, horizon)
-    for t in range(1, horizon + 1):
-        step(instance, live, InverseTimeSchedule(20.0), t, source)
-    assert live == replayed
+    every = trial_config(bern_instance(), InverseTimeSchedule(20.0), range(1, horizon + 1), 77)
+    records = run_trial(every, 0)
+    assert [r.t for r in records] == list(range(1, horizon + 1))
+    # One Bernoulli reward and cost per step.
+    previous = (0.0, 0.0)
+    for r in records:
+        assert r.cumulative_reward - previous[0] in (0.0, 1.0)
+        assert r.cumulative_cost - previous[1] in (0.0, 1.0)
+        previous = (r.cumulative_reward, r.cumulative_cost)
+    # Reporting every step does not change the trajectory.
+    last = trial_config(bern_instance(), InverseTimeSchedule(20.0), (horizon,), 77)
+    assert run_trial(last, 0) == (records[-1],)
 
 
 def test_simulate_is_bit_reproducible():
-    instance = bern_instance()
-    a = simulate(instance, ConstantSchedule(0.5), 500, trial_stream(5, 3, 500))
-    b = simulate(instance, ConstantSchedule(0.5), 500, trial_stream(5, 3, 500))
-    assert a == b
-    c = simulate(instance, ConstantSchedule(0.5), 500, trial_stream(5, 4, 500))
-    assert a != c
+    config = trial_config(bern_instance(), ConstantSchedule(0.5), range(1, 501), 5)
+    a = run_trial(config, 3)
+    assert a == run_trial(config, 3)
+    assert a != run_trial(config, 4)
 
 
 def test_simulate_mixed_kind_instance_runs():
@@ -477,10 +431,20 @@ def test_simulate_mixed_kind_instance_runs():
         ),
         constraint_level=0.5,
     )
-    events = simulate(instance, ConstantSchedule(1.0), 200, trial_stream(1, 0, 200))
-    played = {e.arm for e in events}
-    assert played == {0, 1}
-    for e in events:
-        assert e.branch == BRANCH_RANDOM
-        assert 0.0 <= e.reward <= 1.0
-        assert 0.0 <= e.cost <= 1.0
+    horizon = 200
+    config = trial_config(instance, ConstantSchedule(1.0), range(1, horizon + 1), 1)
+    records = run_trial(config, 0)
+    assert {r.arm for r in records} == {0, 1}
+    # eps = 1: every step takes the random branch, floor(2 u_arm), and
+    # draws its reward and cost from the step's third and fourth uniforms.
+    uniforms = trial_streams(1, 0, 1, horizon)[0].tolist()
+    totals = (0.0, 0.0)
+    for r in records:
+        base = DRAWS_PER_STEP * (r.t - 1)
+        _, u_arm, u_reward, u_cost = uniforms[base : base + DRAWS_PER_STEP]
+        assert r.arm == int(2 * u_arm)
+        reward = instance.arms[r.arm].reward.quantile(u_reward)
+        cost = instance.arms[r.arm].cost.quantile(u_cost)
+        assert 0.0 <= reward <= 1.0 and 0.0 <= cost <= 1.0
+        totals = (totals[0] + reward, totals[1] + cost)
+        assert (r.cumulative_reward, r.cumulative_cost) == totals
