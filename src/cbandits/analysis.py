@@ -1,12 +1,14 @@
-"""Exact instance analysis: feasibility structure and small-horizon
-selection probabilities by full enumeration.
+"""Exact instance analysis: feasibility structure and short-horizon
+selection probabilities by exact enumeration.
 
-The enumeration oracle walks every branch/outcome combination of the
-selection protocol and accumulates path probabilities, in exact rational
-arithmetic by default.  At each node it applies the same greedy rule as
-the simulator (:func:`cbandits.strategies.greedy_ties`), for the
-configured policy and tie rule.  It exists to pin down ground truth for
-short horizons; the Monte Carlo harness is validated against it.
+The enumeration oracle pushes probability mass forward one step at a
+time over the strategy's sufficient statistics, the per-arm (count,
+reward sum, cost sum).  Every branch/outcome path that reaches the same
+statistics is merged into one state, in exact rational arithmetic by
+default.  At each state it applies the same greedy rule as the
+simulator (:func:`cbandits.strategies.greedy_ties`), for the configured
+policy and tie rule.  It exists to pin down ground truth for short
+horizons; the Monte Carlo harness is validated against it.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ class OracleResult:
 
     ``arm_probabilities`` are floats; when ``method == "fraction"`` the
     exact rationals are kept in ``arm_probabilities_exact`` and the
-    floats are their roundings.
+    floats are their roundings.  ``nodes`` is the number of distinct
+    states expanded, summed over the steps 1..t.
     """
 
     t: int
@@ -210,15 +213,14 @@ class OracleResult:
 
 
 class _Enumerator:
-    """DFS over the full outcome tree of the strategy."""
+    """Layered forward pass over the merged states of the strategy."""
 
-    def __init__(self, instance, eps, level, policy, tie_rule, target, exact, max_nodes):
+    def __init__(self, instance, eps, level, policy, tie_rule, exact, max_nodes):
         self.num_arms = instance.num_arms
         self.eps = eps
         self.level = level
         self.policy = policy
         self.tie_rule = tie_rule
-        self.target = target
         self.exact = exact
         self.max_nodes = max_nodes
         self.nodes = 0
@@ -259,42 +261,60 @@ class _Enumerator:
             law[a] = law[a] + share
         return law
 
-    def run(self):
-        zero = Fraction(0) if self.exact else 0.0
-        counts = (0,) * self.num_arms
-        sums = (zero,) * self.num_arms
-        one = Fraction(1) if self.exact else 1.0
-        self._recurse(1, counts, sums, sums, one)
-        return self.arm_mass, self.nodes
-
-    def _recurse(self, depth, counts, reward_sums, cost_sums, prob):
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
+    def _check_budget(self, pending):
+        if self.nodes + pending > self.max_nodes:
             raise ValidationError(
                 "oracle_tree_too_large",
-                f"enumeration exceeded {self.max_nodes} nodes",
+                f"enumeration exceeded {self.max_nodes} states",
             )
-        law = self._selection_law(counts, reward_sums, cost_sums, self.eps[depth - 1])
-        if depth == self.target:
-            for a in range(self.num_arms):
+
+    def _laws(self, layer, eps_t):
+        """Each state of ``layer`` with its mass and its selection law."""
+        self._check_budget(len(layer))
+        self.nodes += len(layer)
+        for (counts, reward_sums, cost_sums), prob in layer.items():
+            law = self._selection_law(counts, reward_sums, cost_sums, eps_t)
+            yield counts, reward_sums, cost_sums, prob, law
+
+    def run(self):
+        """Forward pass over the steps 1..t.
+
+        Each layer maps a state ``(counts, reward_sums, cost_sums)``, with
+        the sums kept exactly as the simulator accumulates them, to its
+        probability mass.  Paths that reach the same state are merged, so
+        each state's selection law is computed once.
+        """
+        zero = Fraction(0) if self.exact else 0.0
+        one = Fraction(1) if self.exact else 1.0
+        n = self.num_arms
+        layer = {((0,) * n, (zero,) * n, (zero,) * n): one}
+        for eps_t in self.eps[:-1]:
+            children = {}
+            for counts, reward_sums, cost_sums, prob, law in self._laws(layer, eps_t):
+                for a in range(n):
+                    p_arm = prob * law[a]
+                    if p_arm == 0:
+                        continue
+                    next_counts = counts[:a] + (counts[a] + 1,) + counts[a + 1 :]
+                    for x, px in self.rewards[a]:
+                        next_rewards = (
+                            reward_sums[:a] + (reward_sums[a] + x,) + reward_sums[a + 1 :]
+                        )
+                        p_reward = p_arm * px
+                        for y, py in self.costs[a]:
+                            next_costs = (
+                                cost_sums[:a] + (cost_sums[a] + y,) + cost_sums[a + 1 :]
+                            )
+                            key = (next_counts, next_rewards, next_costs)
+                            children[key] = children.get(key, zero) + p_reward * py
+                # Checked while the layer grows, so memory stays within
+                # the budget too.
+                self._check_budget(len(children))
+            layer = children
+        for _, _, _, prob, law in self._laws(layer, self.eps[-1]):
+            for a in range(n):
                 self.arm_mass[a] = self.arm_mass[a] + prob * law[a]
-            return
-        for a in range(self.num_arms):
-            p_arm = prob * law[a]
-            if p_arm == 0:
-                continue
-            next_counts = counts[:a] + (counts[a] + 1,) + counts[a + 1 :]
-            for x, px in self.rewards[a]:
-                next_rewards = (
-                    reward_sums[:a] + (reward_sums[a] + x,) + reward_sums[a + 1 :]
-                )
-                for y, py in self.costs[a]:
-                    next_costs = (
-                        cost_sums[:a] + (cost_sums[a] + y,) + cost_sums[a + 1 :]
-                    )
-                    self._recurse(
-                        depth + 1, next_counts, next_rewards, next_costs, p_arm * px * py
-                    )
+        return self.arm_mass, self.nodes
 
 
 def exact_selection_probability(
@@ -308,17 +328,21 @@ def exact_selection_probability(
     max_steps: int = ORACLE_MAX_STEPS,
     max_nodes: int = 2_000_000,
 ) -> OracleResult:
-    """Exact law of the arm selected at step ``t``, by full enumeration.
+    """Exact law of the arm selected at step ``t``, by exact enumeration.
 
     ``policy`` and ``tie_rule`` are the strategy's (config key
     ``strategy``); under the ``uniform`` policy every step is uniform.
     Requires every reward and cost distribution to have finite support
-    and ``t`` at most ``max_steps`` (the tree grows exponentially).
-    ``method`` is ``"fraction"`` for exact rational arithmetic (the
-    default via ``"auto"``), over the exact law of each distribution's
-    ``quantile(U)``, so the probabilities sum to exactly 1; or
-    ``"float"`` for double precision mirroring the simulator's
-    arithmetic exactly.
+    and ``t`` at most ``max_steps``.  The work grows with the number of
+    distinct (counts, reward sums, cost sums) states at each step, and
+    ``max_nodes`` caps the states expanded, summed over the steps.  ``method`` is ``"fraction"`` for exact rational
+    arithmetic (the default via ``"auto"``), over the exact law of each
+    distribution's ``quantile(U)``, so the probabilities sum to exactly
+    1; or ``"float"`` for double precision mirroring the simulator's
+    arithmetic exactly: the sums are the simulator's doubles, so its
+    feasibility test ``cost_sum <= level * count`` decides as it does in
+    the simulator, even where rounding makes that differ from the exact
+    comparison.
 
     Returns per-arm probabilities and, for each requested ``delta``, the
     probability that the selected arm is delta-best.
@@ -350,9 +374,7 @@ def exact_selection_probability(
     eps = [Fraction(e) for e in eps_values] if exact else [float(e) for e in eps_values]
     level = Fraction(instance.constraint_level) if exact else instance.constraint_level
 
-    enumerator = _Enumerator(
-        instance, eps, level, policy, tie_rule, t, exact, max_nodes
-    )
+    enumerator = _Enumerator(instance, eps, level, policy, tie_rule, exact, max_nodes)
     mass, nodes = enumerator.run()
 
     events = []

@@ -44,6 +44,7 @@ from cbandits.strategies import (
     TIE_RULES,
     ConstantSchedule,
     InverseTimeSchedule,
+    _check_strategy,
     schedule_from_config,
 )
 
@@ -105,6 +106,7 @@ def _parse_sections(top: Mapping) -> dict:
     _check_keys(strategy_raw, ("kind", "tie_rule"), "strategy")
     policy = strategy_raw.get("kind", POLICY_CONSTRAINED)
     tie_rule = strategy_raw.get("tie_rule", TIE_LOWEST_INDEX)
+    _check_strategy(policy, tie_rule)
 
     experiment_raw = _require_mapping(top.get("experiment", {}), "experiment")
     _check_keys(experiment_raw, _EXPERIMENT_KEYS, "experiment")

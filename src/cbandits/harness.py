@@ -79,8 +79,8 @@ RESULTS_CSV_COLUMNS = (
 )
 
 # Uniform matrix budget per lockstep chunk.  Chunk boundaries depend only
-# on (replications, horizon), never on worker count, so merged floats are
-# identical no matter how chunks are scheduled.
+# on (replications, horizon), never on worker count; no merged value
+# depends on them.
 _CHUNK_BYTES_TARGET = 128 * 1024 * 1024
 
 
@@ -255,17 +255,20 @@ def run_trial(config: ExperimentConfig, replication_index: int) -> tuple[TrialRe
 
 @dataclass
 class ChunkResult:
-    """Aggregates from one lockstep block of replications."""
+    """Aggregates from one lockstep block of replications.
+
+    ``cum_rewards`` and ``cum_costs`` hold each replication's running
+    totals, shaped (checkpoint, replication), so that merged means are
+    one correctly rounded sum whatever the chunk layout.
+    """
 
     rep_lo: int
     rep_hi: int
     successes: np.ndarray
     arm_hits: np.ndarray
-    cum_reward_total: np.ndarray
-    cum_cost_total: np.ndarray
+    cum_rewards: np.ndarray
+    cum_costs: np.ndarray
     trajectory_arms: np.ndarray | None = None
-    trajectory_rewards: np.ndarray | None = None
-    trajectory_costs: np.ndarray | None = None
 
 
 def run_chunk(
@@ -279,8 +282,8 @@ def run_chunk(
     Trajectories are bit-identical to :func:`run_trial` because each row
     of the bulk uniform matrix is exactly the stream trial r would have
     drawn, and every arithmetic step mirrors the scalar path operation
-    for operation.  ``keep_trajectories`` additionally records the
-    per-replication checkpoint snapshots for equivalence tests.
+    for operation.  ``keep_trajectories`` additionally records the arm
+    each replication selected at each checkpoint, for equivalence tests.
     """
     if not 0 <= rep_lo < rep_hi <= config.replications:
         raise ValidationError(
@@ -309,13 +312,11 @@ def run_chunk(
 
     successes = np.zeros((n_checkpoints, n_deltas), dtype=np.int64)
     arm_hits = np.zeros((n_checkpoints, n_arms), dtype=np.int64)
-    cum_reward_total = np.zeros(n_checkpoints)
-    cum_cost_total = np.zeros(n_checkpoints)
-    trajectory_arms = trajectory_rewards = trajectory_costs = None
+    cum_rewards = np.zeros((n_checkpoints, n_reps))
+    cum_costs = np.zeros((n_checkpoints, n_reps))
+    trajectory_arms = None
     if keep_trajectories:
         trajectory_arms = np.zeros((n_checkpoints, n_reps), dtype=np.int64)
-        trajectory_rewards = np.zeros((n_checkpoints, n_reps))
-        trajectory_costs = np.zeros((n_checkpoints, n_reps))
 
     rows = np.arange(n_reps)
     level = instance.constraint_level
@@ -371,23 +372,19 @@ def run_chunk(
         if cp is not None:
             successes[cp] += membership[:, arm].sum(axis=1)
             arm_hits[cp] += np.bincount(arm, minlength=n_arms)
-            cum_reward_total[cp] = math.fsum(cum_reward)
-            cum_cost_total[cp] = math.fsum(cum_cost)
+            cum_rewards[cp] = cum_reward
+            cum_costs[cp] = cum_cost
             if keep_trajectories:
                 trajectory_arms[cp] = arm
-                trajectory_rewards[cp] = cum_reward
-                trajectory_costs[cp] = cum_cost
 
     return ChunkResult(
         rep_lo=rep_lo,
         rep_hi=rep_hi,
         successes=successes,
         arm_hits=arm_hits,
-        cum_reward_total=cum_reward_total,
-        cum_cost_total=cum_cost_total,
+        cum_rewards=cum_rewards,
+        cum_costs=cum_costs,
         trajectory_arms=trajectory_arms,
-        trajectory_rewards=trajectory_rewards,
-        trajectory_costs=trajectory_costs,
     )
 
 
@@ -427,9 +424,10 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Estimate the delta-best selection probability at every checkpoint.
 
-    Success counts merge associatively across chunks and the chunk
-    layout is a pure function of (replications, horizon), so the result
-    is identical for any worker count, including 1.
+    Success counts merge associatively across chunks and the mean
+    cumulative reward and cost are correctly rounded sums over all
+    replications, so the result is identical for any worker count and
+    any chunk layout.
     """
     workers = _as_int(workers, "bad_parameter", "workers", 1)
     bounds = _chunk_bounds(config.replications, config.horizon)
@@ -444,13 +442,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     n_deltas = len(config.deltas)
     successes = np.zeros((n_checkpoints, n_deltas), dtype=np.int64)
     arm_hits = np.zeros((n_checkpoints, config.instance.num_arms), dtype=np.int64)
-    cum_reward_total = np.zeros(n_checkpoints)
-    cum_cost_total = np.zeros(n_checkpoints)
     for chunk in chunks:
         successes += chunk.successes
         arm_hits += chunk.arm_hits
-        cum_reward_total += chunk.cum_reward_total
-        cum_cost_total += chunk.cum_cost_total
+    cum_rewards = np.concatenate([chunk.cum_rewards for chunk in chunks], axis=1)
+    cum_costs = np.concatenate([chunk.cum_costs for chunk in chunks], axis=1)
 
     replications = config.replications
     rho = reward_separation(config.instance)
@@ -481,8 +477,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     diagnostics = {
         "checkpoints": list(config.checkpoints),
         "arm_selections": arm_hits.tolist(),
-        "mean_cumulative_reward": (cum_reward_total / replications).tolist(),
-        "mean_cumulative_cost": (cum_cost_total / replications).tolist(),
+        "mean_cumulative_reward": [math.fsum(row) / replications for row in cum_rewards],
+        "mean_cumulative_cost": [math.fsum(row) / replications for row in cum_costs],
     }
     return ExperimentResult(
         config=config,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -32,6 +33,7 @@ from cbandits.analysis import (
 )
 from cbandits.harness import ExperimentConfig, run_experiment, run_trial, wilson_interval
 from cbandits.strategies import (
+    POLICY_CONSTRAINED,
     POLICY_UNCONSTRAINED,
     POLICY_UNIFORM,
     TIE_UNIFORM,
@@ -70,6 +72,23 @@ def bernoulli_instance() -> ProblemInstance:
         ),
         constraint_level=0.5,
     )
+
+
+def lattice_instance() -> ProblemInstance:
+    # Dyadic reward lattices and point-mass costs; arm 2 is infeasible.
+    return ProblemInstance(
+        arms=(
+            Arm(Discrete((0.0, 0.5), (0.75, 0.25)), PointMass(0.2)),
+            Arm(Discrete((0.25, 1.0), (0.5, 0.5)), PointMass(0.4)),
+            Arm(Discrete((0.5, 0.75), (0.25, 0.75)), PointMass(0.8)),
+        ),
+        constraint_level=0.5,
+    )
+
+
+def law_digest(law) -> str:
+    text = ",".join(f"{p.numerator}/{p.denominator}" for p in law)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def random_instance(rng: np.random.Generator) -> ProblemInstance:
@@ -291,7 +310,7 @@ class TestOracleFrozenValues:
             bernoulli_instance(), InverseTimeSchedule(3.0), 6, method="fraction"
         )
         assert sum(result.arm_probabilities_exact) == 1
-        assert result.nodes == 37_449
+        assert result.nodes == 966
         # The doubles 0.3 and 0.7 sum to 1 - 5.6e-17.
         discrete = ProblemInstance(
             arms=(
@@ -302,6 +321,54 @@ class TestOracleFrozenValues:
         )
         result = exact_selection_probability(discrete, InverseTimeSchedule(3.0), 5)
         assert sum(result.arm_probabilities_exact) == 1
+
+    # The laws below were frozen from a depth-first walk over every
+    # branch/outcome path, which shares no merging with the layered pass.
+    # Their fractions run to 130-330 digits, so they are pinned by the
+    # SHA-256 of their "num/den" strings, joined by commas.
+    def test_row_b_law_is_frozen(self):
+        instance, schedule = bernoulli_instance(), InverseTimeSchedule(3.0)
+        exact = exact_selection_probability(instance, schedule, 6, method="fraction")
+        assert law_digest(exact.arm_probabilities_exact) == (
+            "838db987e2bc7d3d2cee48505c12e7469ef715de8d439ee0aef4e579ced9146d"
+        )
+        assert exact.arm_probabilities == (0.6443619394070312, 0.35563806059296876)
+        floating = exact_selection_probability(instance, schedule, 6, method="float")
+        for p, q in zip(exact.arm_probabilities, floating.arm_probabilities):
+            assert abs(p - q) < 1e-12
+
+    @pytest.mark.parametrize(
+        "policy, digest, probabilities",
+        [
+            (
+                POLICY_CONSTRAINED,
+                "502c1afc43a94bd427d784f573f8d3d070db3468c6b2f0211f6f246aebf95b88",
+                (0.28193293733379116, 0.58557049202149, 0.1324965706447188),
+            ),
+            (
+                POLICY_UNIFORM,
+                "063054faa695cecd1e5e89bcdc8a37f6c48763dc3fe0d130282c26da00e196a2",
+                (1 / 3, 1 / 3, 1 / 3),
+            ),
+            (
+                POLICY_UNCONSTRAINED,
+                "70ee7d5a96551348c39d6cb212cb9de4d4ba723b3e4cfeb66bd859603154c0d2",
+                (0.15108647710824472, 0.37293295013434064, 0.4759805727574146),
+            ),
+        ],
+    )
+    def test_lattice_law_is_frozen(self, policy, digest, probabilities):
+        kwargs = dict(tie_rule=TIE_UNIFORM, policy=policy)
+        instance, schedule = lattice_instance(), InverseTimeSchedule(2.37)
+        exact = exact_selection_probability(instance, schedule, 6, **kwargs)
+        assert law_digest(exact.arm_probabilities_exact) == digest
+        assert exact.arm_probabilities == probabilities
+        assert exact.nodes == 462
+        floating = exact_selection_probability(
+            instance, schedule, 6, method="float", **kwargs
+        )
+        for p, q in zip(exact.arm_probabilities, floating.arm_probabilities):
+            assert abs(p - q) < 1e-12
 
     def test_delta_events_accumulate_best_arms(self):
         inst = three_arm_instance()
@@ -333,6 +400,49 @@ class TestOracleMethods:
         for p, q in zip(exact.arm_probabilities, approx.arm_probabilities):
             assert abs(p - q) < 1e-12
         assert exact.nodes == approx.nodes
+
+    def test_float_method_follows_simulator_on_knife_edge(self):
+        # eta = 0: arm 0's cost 0.3 sits on the level 0.3.  In doubles, six
+        # additions of 0.3 give 1.8 > 0.3 * 6 = 1.7999999999999998, so after
+        # six pulls the simulator's test cost_sum <= level * count rejects
+        # arm 0; exactly, it is on the boundary and feasible.  Counts 1-5
+        # agree.  "float" mirrors the simulator, "fraction" is the
+        # mathematical law, and here they differ.
+        instance = ProblemInstance(
+            arms=(
+                Arm(PointMass(0.9), PointMass(0.3)),
+                Arm(PointMass(0.5), PointMass(0.1)),
+            ),
+            constraint_level=0.3,
+        )
+        schedule = ConstantSchedule(0.5)
+        t = 7
+        exact = exact_selection_probability(
+            instance, schedule, t, method="fraction", max_steps=t
+        )
+        floating = exact_selection_probability(
+            instance, schedule, t, method="float", max_steps=t
+        )
+        assert sum(exact.arm_probabilities_exact) == 1
+        # Only the path that plays arm 0 at steps 1-6 (mass 1/2 * (3/4)^5)
+        # tells them apart: at step 7 the greedy branch keeps arm 0 exactly,
+        # and falls back to uniform in float.  Its share moves 3/4 -> 1/2.
+        gap = Fraction(1, 2) * Fraction(3, 4) ** 5 * (Fraction(3, 4) - Fraction(1, 2))
+        difference = exact.arm_probabilities[0] - floating.arm_probabilities[0]
+        assert abs(difference - float(gap)) < 1e-12
+        replications = 20_000
+        config = ExperimentConfig(
+            instance=instance,
+            schedule=schedule,
+            checkpoints=(t,),
+            deltas=(0.0,),
+            replications=replications,
+            master_seed=7007,
+        )
+        hits = run_experiment(config).diagnostics["arm_selections"][0][0]
+        low, high = wilson_interval(hits, replications, z=4.0)
+        assert low <= floating.arm_probabilities[0] <= high, (hits, low, high)
+        assert not low <= exact.arm_probabilities[0] <= high, (hits, low, high)
 
     def test_json_export_round_trips(self):
         result = exact_selection_probability(
@@ -414,6 +524,15 @@ class TestOracleValidation:
                 inst, ConstantSchedule(0.5), 5, max_nodes=100
             )
         assert err.value.code == "oracle_tree_too_large"
+        # The budget counts states expanded, summed over the layers.
+        result = exact_selection_probability(
+            inst, ConstantSchedule(0.5), 5, max_nodes=406
+        )
+        assert result.nodes == 406
+        with pytest.raises(ValidationError):
+            exact_selection_probability(
+                inst, ConstantSchedule(0.5), 5, max_nodes=405
+            )
 
     def test_bad_inputs(self):
         inst = two_arm_instance()
@@ -458,3 +577,26 @@ class TestOracleAgainstSimulation:
             p = oracle.arm_probabilities[arm]
             width = 4.0 * math.sqrt(p * (1.0 - p) / replications)
             assert abs(hits[arm] / replications - p) <= width, (arm, p, hits)
+
+    def test_monte_carlo_matches_exact_law_at_t15(self):
+        # Real greedy and plausible-set dynamics: by t = 15 both arms have
+        # been played and the feasibility estimates flip along many paths.
+        instance = bernoulli_instance()
+        schedule = InverseTimeSchedule(3.0)
+        t = 15
+        oracle = exact_selection_probability(
+            instance, schedule, t, method="float", max_steps=t
+        )
+        replications = 20_000
+        config = ExperimentConfig(
+            instance=instance,
+            schedule=schedule,
+            checkpoints=(t,),
+            deltas=(0.0,),
+            replications=replications,
+            master_seed=1515,
+        )
+        hits = run_experiment(config).diagnostics["arm_selections"][0]
+        for arm, p in enumerate(oracle.arm_probabilities):
+            low, high = wilson_interval(hits[arm], replications, z=4.0)
+            assert low <= p <= high, (arm, p, hits, low, high)

@@ -433,6 +433,18 @@ class TestValidate:
         assert "rho = 0.0" in out
         assert "vacuous" in out
 
+    def test_bad_strategy_is_violation(self, tmp_path, capsys):
+        # Without experiment.checkpoints no ExperimentConfig is built, so
+        # the strategy must be checked while parsing the sections.
+        config_path = write_config(
+            tmp_path, ORACLE_CONFIG + "strategy: {kind: thompson, tie_rule: coin}\n"
+        )
+        code = main(["validate", "--config", config_path])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "violation [bad_config]" in out
+        assert out.splitlines()[-1] == "invalid: 1 violation(s)"
+
     def test_config_without_experiment_section_notes_incomplete(self, tmp_path, capsys):
         config_path = write_config(tmp_path, ORACLE_CONFIG)
         code = main(["validate", "--config", config_path])

@@ -149,14 +149,15 @@ class TestKernelMatchesReference:
             assert [r.t for r in records] == list(config.checkpoints)
             for ci, rec in enumerate(records):
                 assert rec.arm == chunk.trajectory_arms[ci, rep]
-                assert rec.cumulative_reward == chunk.trajectory_rewards[ci, rep]
-                assert rec.cumulative_cost == chunk.trajectory_costs[ci, rep]
+                assert rec.cumulative_reward == chunk.cum_rewards[ci, rep]
+                assert rec.cumulative_cost == chunk.cum_costs[ci, rep]
                 successes[ci] += np.asarray(rec.events, dtype=np.int64)
         assert np.array_equal(successes, chunk.successes)
 
     def test_checkpoint_totals_are_exact_sums(self):
-        # The totals must not depend on how numpy orders a reduction, so
-        # they are the correctly rounded sums of the per-replication totals.
+        # The means must not depend on how numpy orders a reduction, so
+        # they are the correctly rounded sums of the per-replication
+        # totals, divided by R.
         config = ExperimentConfig(
             instance=mixed_instance(),
             schedule=InverseTimeSchedule(5.0),
@@ -166,13 +167,13 @@ class TestKernelMatchesReference:
             master_seed=2026,
             tie_rule=TIE_UNIFORM,
         )
-        chunk = run_chunk(config, 0, config.replications)
+        diagnostics = run_experiment(config).diagnostics
         records = [run_trial(config, rep) for rep in range(config.replications)]
         for ci in range(len(config.checkpoints)):
             rewards = [rec[ci].cumulative_reward for rec in records]
             costs = [rec[ci].cumulative_cost for rec in records]
-            assert chunk.cum_reward_total[ci] == math.fsum(rewards)
-            assert chunk.cum_cost_total[ci] == math.fsum(costs)
+            assert diagnostics["mean_cumulative_reward"][ci] == math.fsum(rewards) / 48
+            assert diagnostics["mean_cumulative_cost"][ci] == math.fsum(costs) / 48
 
     def test_chunk_split_invariance(self):
         config = base_config(replications=40, checkpoints=(1, 9, 60))
@@ -347,6 +348,24 @@ class TestParallelism:
         monkeypatch.setattr(harness, "_CHUNK_BYTES_TARGET", 40 * 32 * 8)
         chunked = run_experiment(config)
         assert single.estimates == chunked.estimates
+
+    def test_chunk_layout_does_not_change_means(self, monkeypatch):
+        # Merging per-chunk float totals with += gave a mean reward of
+        # 30.751734581723568 as one chunk and 30.75173458172357 in chunks
+        # of 7 replications.
+        config = ExperimentConfig(
+            instance=mixed_instance(),
+            schedule=InverseTimeSchedule(5.0),
+            checkpoints=(50,),
+            deltas=(0.0,),
+            replications=200,
+            master_seed=3,
+        )
+        single = run_experiment(config)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES_TARGET", 7 * 4 * 50 * 8)
+        assert _chunk_bounds(200, 50)[0] == (0, 7)
+        chunked = run_experiment(config)
+        assert single.diagnostics == chunked.diagnostics
 
     def test_chunk_bounds_partition(self):
         for replications, horizon in ((1, 1), (7, 3), (1000, 10_000), (10**6, 2)):
