@@ -10,7 +10,7 @@ from cbandits.core import (
     ValidationError,
     distribution_from_config,
     instance_from_config,
-    trial_streams,
+    step_uniforms,
 )
 from cbandits.strategies import (
     ConstantSchedule,
@@ -38,7 +38,6 @@ from cbandits.bounds import (
     bernstein_tail,
     closed_form_lower_bound,
     exploration_mass,
-    hoeffding_tail,
     selection_lower_bound,
 )
 from cbandits.harness import (

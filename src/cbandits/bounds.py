@@ -35,7 +35,6 @@ __all__ = [
     "selection_lower_bound",
     "closed_form_exponents",
     "closed_form_lower_bound",
-    "hoeffding_tail",
     "bernstein_tail",
 ]
 
@@ -50,14 +49,6 @@ def _safe_exp(exponent: float) -> float:
     if exponent > _EXP_OVERFLOW:
         return math.inf
     return math.exp(exponent)
-
-
-def hoeffding_tail(h: float, j: int) -> float:
-    """Upper tail exp(-2 h^2 / j) for a sum of j mean-zero [0,1] summands
-    deviating by at least h."""
-    h = _as_float(h, "bad_parameter", "h", 0.0)
-    j = _as_int(j, "bad_parameter", "j", 1)
-    return math.exp(-2.0 * h * h / j)
 
 
 def bernstein_tail(h: float, sigma_sq: float) -> float:

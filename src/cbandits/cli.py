@@ -218,6 +218,16 @@ def _bound_schedule(args: argparse.Namespace):
     return ConstantSchedule(args.epsilon)
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write a report to stdout, or to the ``--out`` path if one is given."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    print(f"wrote {out}", file=sys.stderr)
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     schedule = _bound_schedule(args)
     grid = list(args.t_grid)
@@ -263,13 +273,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 row.append("")
         lines.append(",".join(_format_csv_value(v) if v != "" else "" for v in row))
 
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -288,13 +292,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         policy=parts["policy"],
         method=args.method,
     )
-    text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
+    _emit(json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 

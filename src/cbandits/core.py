@@ -6,8 +6,8 @@ closed-form mean and variance.  Sampling is inverse-transform only: a
 draw is ``quantile(u)`` of exactly one uniform from the replication's
 stream, which keeps trajectories replayable and makes the vectorized
 kernel and the scalar reference produce bit-identical results.
-:func:`trial_streams` is the only place that maps a replication to its
-uniforms.
+:func:`step_uniforms` is the only place that maps a (step, replication)
+pair to its uniforms.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -35,7 +35,7 @@ __all__ = [
     "validate_instance",
     "distribution_from_config",
     "instance_from_config",
-    "trial_streams",
+    "step_uniforms",
     "experiment_key",
     "DRAWS_PER_STEP",
     "PROBABILITY_TOL",
@@ -46,7 +46,7 @@ PROBABILITY_TOL = 1e-12
 
 # Fixed per-step draw budget of the selection protocol: branch uniform,
 # arm uniform, reward uniform, cost uniform.  One Philox counter block
-# yields exactly four doubles, so one counter increment == one step.
+# yields exactly four doubles, so one counter block == one replication-step.
 DRAWS_PER_STEP = 4
 
 _MAX_SEED = 2**64
@@ -551,19 +551,30 @@ def experiment_key(master_seed: int) -> np.ndarray:
     return SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def trial_streams(master_seed: int, rep_lo: int, rep_hi: int, horizon: int) -> np.ndarray:
-    """Uniform streams of replications ``[rep_lo, rep_hi)``, one row each.
+def step_uniforms(master_seed: int, rep_lo: int, rep_hi: int) -> Iterator[np.ndarray]:
+    """Uniforms of replications ``[rep_lo, rep_hi)``, one block per step.
 
-    Row ``r - rep_lo`` holds the ``DRAWS_PER_STEP * horizon`` doubles of
-    replication ``r``: the window of a counter-based (Philox) sequence,
-    keyed by ``master_seed``, that starts at counter ``r * horizon``.  One
-    counter block covers one step's draws, so the windows of different
-    replications never overlap, and a replication's row is the same
-    whichever block of replications it is drawn with, in any order, on
-    any worker.
+    Yields, for t = 1, 2, ..., a ``(rep_hi - rep_lo) x DRAWS_PER_STEP``
+    array whose row ``r - rep_lo`` is the Philox block at counter
+    ``(t << 64) + r`` under ``experiment_key(master_seed)``: the four
+    doubles that ``Generator(Philox(key=..., counter=(t << 64) + r))``
+    draws first.  A row depends only on (master_seed, t, r): it is the
+    same whichever block of replications it is drawn with, on any
+    worker, and however long the run is.  One generator serves every
+    step; between steps it skips the other replications' counters.
     """
     rep_lo = _as_int(rep_lo, "bad_parameter", "rep_lo", 0)
     rep_hi = _as_int(rep_hi, "bad_parameter", "rep_hi", rep_lo + 1)
-    horizon = _as_int(horizon, "bad_parameter", "horizon", 1)
-    generator = Generator(Philox(key=experiment_key(master_seed), counter=rep_lo * horizon))
-    return generator.random((rep_hi - rep_lo, DRAWS_PER_STEP * horizon))
+    if rep_hi > 2**64:
+        raise ValidationError("bad_parameter", f"rep_hi must be at most 2**64, got {rep_hi}")
+    n_reps = rep_hi - rep_lo
+    bit_generator = Philox(key=experiment_key(master_seed), counter=(1 << 64) + rep_lo)
+    generator = Generator(bit_generator)
+    skip = 2**64 - n_reps
+
+    def blocks() -> Iterator[np.ndarray]:
+        while True:
+            yield generator.random((n_reps, DRAWS_PER_STEP))
+            bit_generator.advance(skip)
+
+    return blocks()

@@ -6,10 +6,11 @@ Experiments run on a vectorized kernel (:func:`run_chunk`) that
 advances a block of replications in lockstep.  :func:`run_trial` is its
 scalar reference: one replication, step by step, through the selection
 rule of the strategies module.  Both read their uniforms from
-:func:`~cbandits.core.trial_streams` in the same fixed order, so every
-float they compute is equal, not merely close.  Replication r's stream
-depends only on (master_seed, r, horizon), which makes results
-independent of scheduling and worker count.
+:func:`~cbandits.core.step_uniforms` in the same fixed order, so every
+float they compute is equal, not merely close.  The draws of step t in
+replication r depend only on (master_seed, t, r), which makes results
+independent of scheduling, worker count and chunk layout, and leaves
+the estimate at a checkpoint unchanged when a later one is added.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,13 +31,12 @@ from cbandits.analysis import (
 )
 from cbandits.bounds import selection_lower_bound
 from cbandits.core import (
-    DRAWS_PER_STEP,
     ProblemInstance,
     ValidationError,
     _as_float,
     _as_int,
     experiment_key,
-    trial_streams,
+    step_uniforms,
 )
 from cbandits.strategies import (
     POLICY_CONSTRAINED,
@@ -78,10 +78,10 @@ RESULTS_CSV_COLUMNS = (
     "dominated",
 )
 
-# Uniform matrix budget per lockstep chunk.  Chunk boundaries depend only
-# on (replications, horizon), never on worker count; no merged value
-# depends on them.
-_CHUNK_BYTES_TARGET = 128 * 1024 * 1024
+# Largest lockstep chunk, in replications.  A chunk's memory is
+# O(replications x arms) whatever the horizon; no merged value depends
+# on the chunk layout.
+_CHUNK_REPLICATIONS = 2**16
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,8 @@ class ExperimentConfig:
             raise ValidationError(
                 "bad_config", f"checkpoints must be strictly increasing, got {checkpoints}"
             )
+        # The schedule must cover every step, or a run fails midway.
+        self.schedule.epsilon(checkpoints[-1])
         deltas = tuple(_as_float(d, "bad_config", "deltas", 0.0) for d in self.deltas)
         if not deltas:
             raise ValidationError("bad_config", "deltas must be non-empty")
@@ -171,18 +173,10 @@ class MonteCarloEstimate:
         assert 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "delta": self.delta,
-            "successes": self.successes,
-            "R": self.replications,
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "bound_raw": self.bound_raw,
-            "bound_clamped": self.bound_clamped,
-            "dominated": self.dominated,
-        }
+        """Field values keyed as in ``RESULTS_CSV_COLUMNS``."""
+        out = asdict(self)
+        out["R"] = out.pop("replications")
+        return out
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -211,14 +205,12 @@ def run_trial(config: ExperimentConfig, replication_index: int) -> tuple[TrialRe
     """Scalar reference of :func:`run_chunk`: replication
     ``replication_index`` step by step, reported at each checkpoint.
 
-    Deterministic in (master_seed, replication_index, horizon);
-    independent of any other replication.
+    Deterministic in (master_seed, replication_index); independent of
+    any other replication and of the checkpoints after each record.
     """
     rep = _as_int(replication_index, "bad_parameter", "replication_index", 0)
     instance = config.instance
-    horizon = config.horizon
-    uniforms = trial_streams(config.master_seed, rep, rep + 1, horizon)[0].tolist()
-    eps = config.schedule.epsilons(horizon).tolist()
+    stream = step_uniforms(config.master_seed, rep, rep + 1)
     best_sets = [delta_best_arms(instance, d) for d in config.deltas]
     wanted = set(config.checkpoints)
     counts = [0] * instance.num_arms
@@ -226,12 +218,11 @@ def run_trial(config: ExperimentConfig, replication_index: int) -> tuple[TrialRe
     cost_sums = [0.0] * instance.num_arms
     acc_reward = acc_cost = 0.0
     records = []
-    for t in range(1, horizon + 1):
-        base = DRAWS_PER_STEP * (t - 1)
-        u_branch, u_arm, u_reward, u_cost = uniforms[base : base + DRAWS_PER_STEP]
+    for t in range(1, config.horizon + 1):
+        u_branch, u_arm, u_reward, u_cost = next(stream)[0].tolist()
         arm, _ = choose_arm(
-            counts, reward_sums, cost_sums, eps[t - 1], instance.constraint_level,
-            config.policy, config.tie_rule, u_branch, u_arm,
+            counts, reward_sums, cost_sums, config.schedule.epsilon(t),
+            instance.constraint_level, config.policy, config.tie_rule, u_branch, u_arm,
         )
         reward = instance.arms[arm].reward.quantile(u_reward)
         cost = instance.arms[arm].cost.quantile(u_cost)
@@ -280,9 +271,9 @@ def run_chunk(
     """Advance replications [rep_lo, rep_hi) in lockstep.
 
     Trajectories are bit-identical to :func:`run_trial` because each row
-    of the bulk uniform matrix is exactly the stream trial r would have
-    drawn, and every arithmetic step mirrors the scalar path operation
-    for operation.  ``keep_trajectories`` additionally records the arm
+    of a step's uniform block is exactly what trial r draws at that step,
+    and every arithmetic step mirrors the scalar path operation for
+    operation.  ``keep_trajectories`` additionally records the arm
     each replication selected at each checkpoint, for equivalence tests.
     """
     if not 0 <= rep_lo < rep_hi <= config.replications:
@@ -291,14 +282,12 @@ def run_chunk(
         )
     instance = config.instance
     n_arms = instance.num_arms
-    horizon = config.horizon
     n_reps = rep_hi - rep_lo
     n_checkpoints = len(config.checkpoints)
     n_deltas = len(config.deltas)
 
-    uniforms = trial_streams(config.master_seed, rep_lo, rep_hi, horizon)
-
-    eps = config.schedule.epsilons(horizon)
+    stream = step_uniforms(config.master_seed, rep_lo, rep_hi)
+    epsilon = config.schedule.epsilon
     cp_index = {t: i for i, t in enumerate(config.checkpoints)}
     membership = np.zeros((n_deltas, n_arms), dtype=bool)
     for i, delta in enumerate(config.deltas):
@@ -327,12 +316,8 @@ def run_chunk(
     rewards = np.empty(n_reps)
     costs = np.empty(n_reps)
 
-    for t in range(1, horizon + 1):
-        base = DRAWS_PER_STEP * (t - 1)
-        u_branch = uniforms[:, base]
-        u_arm = uniforms[:, base + 1]
-        u_reward = uniforms[:, base + 2]
-        u_cost = uniforms[:, base + 3]
+    for t in range(1, config.horizon + 1):
+        u_branch, u_arm, u_reward, u_cost = next(stream).T
 
         random_pick = np.minimum((u_arm * n_arms).astype(np.int64), n_arms - 1)
         if policy == POLICY_UNIFORM:
@@ -353,7 +338,7 @@ def run_chunk(
                 )
             else:
                 greedy = np.argmax(means, axis=1)
-            take_random = (u_branch < eps[t - 1]) | ~feasible.any(axis=1)
+            take_random = (u_branch < epsilon(t)) | ~feasible.any(axis=1)
             arm = np.where(take_random, random_pick, greedy)
 
         for a in range(n_arms):
@@ -388,9 +373,8 @@ def run_chunk(
     )
 
 
-def _chunk_bounds(replications: int, horizon: int) -> list[tuple[int, int]]:
-    per_rep = DRAWS_PER_STEP * horizon * 8
-    chunk = max(1, min(replications, _CHUNK_BYTES_TARGET // per_rep))
+def _chunk_bounds(replications: int, workers: int) -> list[tuple[int, int]]:
+    chunk = min(_CHUNK_REPLICATIONS, -(-replications // workers))
     return [
         (lo, min(lo + chunk, replications)) for lo in range(0, replications, chunk)
     ]
@@ -430,7 +414,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     any chunk layout.
     """
     workers = _as_int(workers, "bad_parameter", "workers", 1)
-    bounds = _chunk_bounds(config.replications, config.horizon)
+    bounds = _chunk_bounds(config.replications, workers)
     if workers == 1 or len(bounds) == 1:
         chunks = [run_chunk(config, lo, hi) for lo, hi in bounds]
     else:
@@ -500,19 +484,8 @@ def write_results_csv(path, estimates: Sequence[MonteCarloEstimate]) -> None:
     """Plot-ready estimates table; one row per (checkpoint, delta)."""
     lines = [",".join(RESULTS_CSV_COLUMNS)]
     for e in estimates:
-        row = (
-            e.t,
-            e.delta,
-            e.successes,
-            e.replications,
-            e.p_hat,
-            e.ci_low,
-            e.ci_high,
-            e.bound_raw,
-            e.bound_clamped,
-            e.dominated,
-        )
-        lines.append(",".join(_format_csv_value(v) for v in row))
+        row = e.to_json_dict()
+        lines.append(",".join(_format_csv_value(row[c]) for c in RESULTS_CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

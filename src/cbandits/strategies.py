@@ -6,9 +6,11 @@ float or exact rational arithmetic, and :func:`choose_arm` turns a
 step's branch and arm uniforms into the selected arm.  The scalar
 reference trajectory (``harness.run_trial``) and the exact oracle
 (``analysis``) both call them.  A step consumes exactly
-:data:`~cbandits.core.DRAWS_PER_STEP` uniforms in a fixed order (branch,
-arm, reward, cost), whether or not a draw's value ends up used, so the
-vectorized harness kernel walks the same stream as the scalar reference.
+:data:`~cbandits.core.DRAWS_PER_STEP` uniforms, one Philox block, in a
+fixed order (branch, arm, reward, cost), whether or not a draw's value
+ends up used, so the vectorized harness kernel reads the same uniforms
+as the scalar reference.  Both read ``schedule.epsilon(t)`` at each
+step; no schedule is stored over the horizon.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import fractions
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from cbandits.core import (
     ValidationError,
@@ -79,10 +79,6 @@ class EpsilonSchedule:
     kind: str = "abstract"
 
     def epsilon(self, t: int) -> float:
-        raise NotImplementedError
-
-    def epsilons(self, horizon: int) -> np.ndarray:
-        """Vector of schedule values for steps 1..horizon."""
         raise NotImplementedError
 
     def cumulative(self, t: int) -> float:
@@ -151,10 +147,6 @@ class ConstantSchedule(EpsilonSchedule):
         _as_int(t, "bad_parameter", "step index", 1)
         return self.value
 
-    def epsilons(self, horizon: int) -> np.ndarray:
-        _as_int(horizon, "bad_parameter", "step index", 1)
-        return np.full(horizon, self.value, dtype=np.float64)
-
     def cumulative(self, t: int) -> float:
         _as_int(t, "bad_parameter", "step index", 1)
         return self.value * t
@@ -203,11 +195,6 @@ class InverseTimeSchedule(EpsilonSchedule):
         t = _as_int(t, "bad_parameter", "step index", 1)
         return min(1.0, self.k / t)
 
-    def epsilons(self, horizon: int) -> np.ndarray:
-        horizon = _as_int(horizon, "bad_parameter", "step index", 1)
-        steps = np.arange(1, horizon + 1, dtype=np.float64)
-        return np.minimum(1.0, self.k / steps)
-
     def cumulative(self, t: int) -> float:
         t = _as_int(t, "bad_parameter", "step index", 1)
         flat = math.floor(self.k)
@@ -249,7 +236,7 @@ class ExplicitSchedule(EpsilonSchedule):
                 )
         object.__setattr__(self, "values", values)
 
-    def _check_horizon(self, t: int) -> int:
+    def _check_step(self, t: int) -> int:
         t = _as_int(t, "bad_parameter", "step index", 1)
         if t > len(self.values):
             raise ValidationError(
@@ -259,14 +246,10 @@ class ExplicitSchedule(EpsilonSchedule):
         return t
 
     def epsilon(self, t: int) -> float:
-        return self.values[self._check_horizon(t) - 1]
-
-    def epsilons(self, horizon: int) -> np.ndarray:
-        self._check_horizon(horizon)
-        return np.asarray(self.values[:horizon], dtype=np.float64)
+        return self.values[self._check_step(t) - 1]
 
     def cumulative(self, t: int) -> float:
-        return math.fsum(self.values[: self._check_horizon(t)])
+        return math.fsum(self.values[: self._check_step(t)])
 
     def to_config(self) -> dict:
         return {"kind": "explicit", "values": list(self.values)}

@@ -304,14 +304,10 @@ def test_criterion_6_characterization_correctness():
     )
 
 
-def test_criterion_7_determinism(tmp_path, capsys, monkeypatch):
+def test_criterion_7_determinism(tmp_path, capsys, chunk_layouts):
     """Two cmd_run invocations with identical resolved configs produce
     byte-identical results.csv, including across worker counts."""
-    import cbandits.harness as harness
-
     started = time.monotonic()
-    # Shrink chunks so multi-worker runs genuinely split and merge work.
-    monkeypatch.setattr(harness, "_CHUNK_BYTES_TARGET", 64 * 32 * 50)
     config_path = tmp_path / "config.yaml"
     config_path.write_text(
         """\
@@ -345,13 +341,15 @@ experiment:
 
     identical_rerun = payloads["a"] == payloads["b"]
     identical_workers = payloads["a"] == payloads["c"]
-    passed = identical_rerun and identical_workers
+    # The two-worker run must split and merge work.
+    merged_chunks = len(chunk_layouts[-1])
+    passed = identical_rerun and identical_workers and merged_chunks > 1
     _finish(
         "AC7 determinism",
         passed,
         f"results.csv byte-identical on rerun={identical_rerun} and across "
         f"worker counts 1 vs 2={identical_workers} "
-        f"({len(payloads['a'])} bytes, multi-chunk merge forced), "
+        f"({len(payloads['a'])} bytes, {merged_chunks} chunks merged with 2 workers), "
         f"elapsed {elapsed:.1f}s",
     )
 

@@ -27,7 +27,6 @@ from cbandits.bounds import (
     closed_form_exponents,
     closed_form_lower_bound,
     exploration_mass,
-    hoeffding_tail,
     selection_lower_bound,
 )
 
@@ -49,19 +48,6 @@ def close(a, b, tol=1e-12):
 
 
 class TestTailHelpers:
-    def test_hoeffding_frozen_values(self):
-        assert hoeffding_tail(0.0, 5) == 1.0
-        assert hoeffding_tail(math.sqrt(5.0), 10) == pytest.approx(
-            math.exp(-1.0), rel=1e-15
-        )
-        assert hoeffding_tail(3.0, 10) == math.exp(-1.8)
-
-    def test_hoeffding_validation(self):
-        for h, j in ((-1.0, 5), (math.nan, 5), (1.0, 0), (1.0, 2.5), (1.0, True)):
-            with pytest.raises(ValidationError) as err:
-                hoeffding_tail(h, j)
-            assert err.value.code == "bad_parameter"
-
     def test_bernstein_frozen_values(self):
         assert bernstein_tail(0.0, 1.0) == 1.0
         assert bernstein_tail(2.0, 1.0) == math.exp(-1.0)
@@ -87,9 +73,7 @@ class TestTailHelpers:
         rng = np.random.default_rng(7)
         for _ in range(200):
             h = float(rng.uniform(0.0, 50.0))
-            j = int(rng.integers(1, 1000))
             sigma_sq = float(rng.uniform(0.0, 50.0))
-            assert 0.0 < hoeffding_tail(h, j) <= 1.0
             if h + sigma_sq > 0.0:
                 assert 0.0 < bernstein_tail(h, sigma_sq) <= 1.0
 

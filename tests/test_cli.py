@@ -110,11 +110,7 @@ class TestRun:
         summary_b.pop("metadata")
         assert summary_a == summary_b
 
-    def test_worker_count_does_not_change_results(self, tmp_path, capsys, monkeypatch):
-        import cbandits.harness as harness
-
-        # Shrink chunks so multiple workers actually split the work.
-        monkeypatch.setattr(harness, "_CHUNK_BYTES_TARGET", 12 * 32 * 25)
+    def test_worker_count_does_not_change_results(self, tmp_path, capsys, chunk_layouts):
         config_path = write_config(tmp_path, TWO_ARM_CONFIG)
         for name, workers in (("w1", "1"), ("w3", "3")):
             code = main([
@@ -123,6 +119,8 @@ class TestRun:
             ])
             assert code == 0
         capsys.readouterr()
+        # Three workers must split the work.
+        assert [len(layout) for layout in chunk_layouts] == [1, 3]
         assert (tmp_path / "w1" / "results.csv").read_bytes() == (
             tmp_path / "w3" / "results.csv"
         ).read_bytes()
@@ -410,6 +408,24 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "violation [bad_schedule]" in out
         assert "(0, 1]" in out
+
+    def test_short_explicit_schedule_is_violation(self, tmp_path, capsys):
+        # Three schedule values cannot drive a run to checkpoint 10.
+        config_path = write_config(
+            tmp_path,
+            TWO_ARM_CONFIG.replace("kind: inverse_time\n  k: 20",
+                                   "kind: explicit\n  values: [1.0, 0.5, 0.5]")
+            .replace("checkpoints: [5, 25]", "checkpoints: [2, 10]"),
+        )
+        code = main(["validate", "--config", config_path])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "violation [bad_schedule]" in out
+        assert "experiment: valid" not in out
+        code = main(["run", "--config", config_path, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad_schedule" in captured.err
 
     def test_empty_feasible_set_is_violation(self, tmp_path, capsys):
         config_path = write_config(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import integrate, stats
 
 from cbandits.core import (
@@ -19,7 +20,7 @@ from cbandits.core import (
     distribution_from_config,
     experiment_key,
     instance_from_config,
-    trial_streams,
+    step_uniforms,
 )
 
 # Frozen exact moments, computed by hand from the closed forms.
@@ -257,33 +258,47 @@ def test_instance_config_rejects_unknown_key():
 # ---------------------------------------------------------------------------
 
 
+def steps(stream, count):
+    return [next(stream) for _ in range(count)]
+
+
 def test_trial_streams_row_is_independent_of_block():
     # The scalar reference draws one replication, the kernel a block: a
     # replication's uniforms must not depend on which block it is in.
-    block = trial_streams(11, 3, 10, horizon=25)
+    block = steps(step_uniforms(11, 3, 10), 25)
     for offset, rep in enumerate(range(3, 10)):
-        assert np.array_equal(block[offset], trial_streams(11, rep, rep + 1, 25)[0])
-    assert block.shape == (7, DRAWS_PER_STEP * 25)
+        alone = steps(step_uniforms(11, rep, rep + 1), 25)
+        for t in range(25):
+            assert np.array_equal(block[t][offset], alone[t][0])
+    assert all(b.shape == (7, DRAWS_PER_STEP) for b in block)
+
+
+def test_step_block_is_keyed_by_step_and_replication():
+    # Row r of step t is the first Philox block after counter (t << 64) + r,
+    # built here without the stream's skip-ahead between steps.
+    key = experiment_key(123)
+    lo, hi = 5, 12
+    for t, block in enumerate(steps(step_uniforms(123, lo, hi), 40), start=1):
+        expected = Generator(Philox(key=key, counter=(t << 64) + lo)).random((hi - lo, 4))
+        assert np.array_equal(block, expected), t
 
 
 def test_trial_stream_is_deterministic():
-    first = trial_streams(123, 4, 6, horizon=50)
-    assert np.array_equal(first, trial_streams(123, 4, 6, horizon=50))
+    first = steps(step_uniforms(123, 4, 6), 50)
+    assert np.array_equal(first, steps(step_uniforms(123, 4, 6), 50))
 
 
 def test_trial_streams_differ_across_replications_and_seeds():
-    base = trial_streams(123, 0, 1, horizon=50)[0]
-    assert not np.array_equal(base, trial_streams(123, 1, 2, horizon=50)[0])
-    assert not np.array_equal(base, trial_streams(124, 0, 1, horizon=50)[0])
+    base = np.concatenate(steps(step_uniforms(123, 0, 1), 50))
+    assert not np.array_equal(base, np.concatenate(steps(step_uniforms(123, 1, 2), 50)))
+    assert not np.array_equal(base, np.concatenate(steps(step_uniforms(124, 0, 1), 50)))
 
 
 def test_trial_streams_are_disjoint_windows():
-    # Full-horizon streams of consecutive replications tile one global
-    # counter sequence with no overlap.
-    horizon = 13
-    tiled = np.concatenate([trial_streams(9, r, r + 1, horizon)[0] for r in range(5)])
+    # Every (step, replication) pair reads its own counter block.
+    tiled = np.concatenate(steps(step_uniforms(9, 0, 5), 13)).ravel()
+    assert tiled.size == 13 * 5 * DRAWS_PER_STEP
     assert np.unique(tiled).size == tiled.size
-    assert np.array_equal(tiled, trial_streams(9, 0, 5, horizon).ravel())
 
 
 def test_experiment_key_validation():
@@ -298,9 +313,8 @@ def test_experiment_key_validation():
 
 
 def test_trial_stream_validation():
-    with pytest.raises(ValidationError):
-        trial_streams(1, -1, 0, horizon=10)
-    with pytest.raises(ValidationError):
-        trial_streams(1, 0, 1, horizon=0)
-    with pytest.raises(ValidationError):
-        trial_streams(1, 2, 2, horizon=10)
+    # Bad ranges fail at the call, before any step is drawn.
+    for seed, lo, hi in ((1, -1, 0), (1, 2, 2), (1, 0, 2**64 + 1), (-1, 0, 1)):
+        with pytest.raises(ValidationError):
+            step_uniforms(seed, lo, hi)
+    assert next(step_uniforms(1, 2**64 - 1, 2**64)).shape == (1, DRAWS_PER_STEP)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ class TestRunExperiment:
 class TestParallelism:
     def test_worker_count_invariance(self, monkeypatch):
         # Force many small chunks so several pool tasks actually run.
-        monkeypatch.setattr(harness, "_CHUNK_BYTES_TARGET", 40 * 32 * 8)
+        monkeypatch.setattr(harness, "_CHUNK_REPLICATIONS", 40)
         config = base_config(replications=500, checkpoints=(1, 5, 40))
         serial = run_experiment(config, workers=1)
         parallel = run_experiment(config, workers=3)
@@ -345,7 +346,8 @@ class TestParallelism:
     def test_chunk_layout_does_not_change_estimates(self, monkeypatch):
         config = base_config(replications=120, checkpoints=(1, 5, 40))
         single = run_experiment(config)
-        monkeypatch.setattr(harness, "_CHUNK_BYTES_TARGET", 40 * 32 * 8)
+        monkeypatch.setattr(harness, "_CHUNK_REPLICATIONS", 40)
+        assert len(_chunk_bounds(120, 1)) == 3
         chunked = run_experiment(config)
         assert single.estimates == chunked.estimates
 
@@ -362,19 +364,56 @@ class TestParallelism:
             master_seed=3,
         )
         single = run_experiment(config)
-        monkeypatch.setattr(harness, "_CHUNK_BYTES_TARGET", 7 * 4 * 50 * 8)
-        assert _chunk_bounds(200, 50)[0] == (0, 7)
+        monkeypatch.setattr(harness, "_CHUNK_REPLICATIONS", 7)
+        assert _chunk_bounds(200, 1)[0] == (0, 7)
         chunked = run_experiment(config)
         assert single.diagnostics == chunked.diagnostics
 
     def test_chunk_bounds_partition(self):
-        for replications, horizon in ((1, 1), (7, 3), (1000, 10_000), (10**6, 2)):
-            bounds = _chunk_bounds(replications, horizon)
+        cases = ((1, 1), (7, 3), (3, 7), (1000, 2), (10**6, 1), (10**6, 3))
+        for replications, workers in cases:
+            bounds = _chunk_bounds(replications, workers)
             assert bounds[0][0] == 0
             assert bounds[-1][1] == replications
             for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
                 assert hi == lo
-            assert all(hi > lo for lo, hi in bounds)
+            assert all(0 < hi - lo <= harness._CHUNK_REPLICATIONS for lo, hi in bounds)
+            # Every worker gets a chunk while there are replications to share.
+            assert len(bounds) >= min(workers, replications)
+
+
+class TestStepKeyedStreams:
+    def test_later_checkpoint_does_not_change_earlier(self):
+        # With one Philox window per replication of length 4T, t = 50 gave
+        # 1582 successes with checkpoints (50,) and 1580 with (50, 100).
+        def run(checkpoints):
+            config = base_config(
+                schedule=InverseTimeSchedule(20.0),
+                checkpoints=checkpoints,
+                deltas=(0.0, 0.1),
+                replications=2000,
+                master_seed=1,
+            )
+            return run_experiment(config)
+
+        short, long = run((50,)), run((50, 100))
+        assert short.estimates == long.estimates[:2]
+        for key in ("mean_cumulative_reward", "mean_cumulative_cost", "arm_selections"):
+            assert short.diagnostics[key] == long.diagnostics[key][:1]
+
+    def test_chunk_memory_does_not_grow_with_horizon(self):
+        def peak(horizon):
+            config = base_config(checkpoints=(horizon,), replications=4)
+            tracemalloc.start()
+            try:
+                run_chunk(config, 0, 4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call caches stay out of the measurement
+        short, long = peak(1_000), peak(10_000)
+        assert abs(long - short) < 64 * 1024, (short, long)
 
 
 class TestOutputs:

@@ -10,14 +10,13 @@ from scipy.special import digamma
 
 from cbandits.analysis import exact_selection_probability
 from cbandits.core import (
-    DRAWS_PER_STEP,
     Arm,
     Bernoulli,
     Discrete,
     PointMass,
     ProblemInstance,
     ValidationError,
-    trial_streams,
+    step_uniforms,
 )
 from cbandits.harness import ExperimentConfig, run_trial
 from cbandits.strategies import (
@@ -115,8 +114,7 @@ def test_inverse_time_values():
     assert sched.epsilon(1) == 1.0
     assert sched.epsilon(2) == 1.0
     assert sched.epsilon(3) == pytest.approx(2.0 / 3.0, abs=0)
-    vec = sched.epsilons(100)
-    assert np.array_equal(vec, np.array([sched.epsilon(t) for t in range(1, 101)]))
+    assert sched.epsilon(100) == 0.02
 
 
 def test_cumulative_frozen_values():
@@ -180,8 +178,6 @@ def test_explicit_schedule_horizon_errors():
     sched = ExplicitSchedule((0.5, 0.5))
     with pytest.raises(ValidationError):
         sched.epsilon(3)
-    with pytest.raises(ValidationError):
-        sched.epsilons(3)
     with pytest.raises(ValidationError):
         sched.epsilon(0)
 
@@ -384,11 +380,11 @@ def test_step_point_mass_composition():
     )
     horizon = 30
     config = trial_config(instance, ConstantSchedule(0.5), range(1, horizon + 1), 5)
-    uniforms = trial_streams(5, 0, 1, horizon)[0].tolist()
+    stream = step_uniforms(5, 0, 1)
     counts, reward_sums, cost_sums = state = played(2)
     for record in run_trial(config, 0):
-        base = DRAWS_PER_STEP * (record.t - 1)
-        arm, _ = select(state, 0.5, uniforms[base], uniforms[base + 1])
+        u_branch, u_arm, _, _ = next(stream)[0].tolist()
+        arm, _ = select(state, 0.5, u_branch, u_arm)
         assert record.arm == arm
         counts[arm] += 1
         reward_sums[arm] += instance.arms[arm].reward.value
@@ -437,11 +433,10 @@ def test_simulate_mixed_kind_instance_runs():
     assert {r.arm for r in records} == {0, 1}
     # eps = 1: every step takes the random branch, floor(2 u_arm), and
     # draws its reward and cost from the step's third and fourth uniforms.
-    uniforms = trial_streams(1, 0, 1, horizon)[0].tolist()
+    stream = step_uniforms(1, 0, 1)
     totals = (0.0, 0.0)
     for r in records:
-        base = DRAWS_PER_STEP * (r.t - 1)
-        _, u_arm, u_reward, u_cost = uniforms[base : base + DRAWS_PER_STEP]
+        _, u_arm, u_reward, u_cost = next(stream)[0].tolist()
         assert r.arm == int(2 * u_arm)
         reward = instance.arms[r.arm].reward.quantile(u_reward)
         cost = instance.arms[r.arm].cost.quantile(u_cost)
