@@ -246,6 +246,7 @@ class Discrete(Distribution):
     probabilities: tuple[float, ...]
     kind = "discrete"
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _atoms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(
@@ -282,6 +283,7 @@ class Discrete(Distribution):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "_cum", np.cumsum(np.asarray(probs, dtype=np.float64)))
+        object.__setattr__(self, "_atoms", np.asarray(values, dtype=np.float64))
 
     @property
     def mean(self) -> float:
@@ -293,9 +295,9 @@ class Discrete(Distribution):
         return math.fsum(p * (v - m) ** 2 for v, p in zip(self.values, self.probabilities))
 
     def quantile(self, u: ArrayLike) -> ArrayLike:
-        idx = np.searchsorted(self._cum, u, side="right")
-        idx = np.minimum(idx, len(self.values) - 1)
-        out = np.asarray(self.values, dtype=np.float64)[idx]
+        # Atom i for u in [_cum[i-1], _cum[i]); the last atom takes the
+        # rest of [0, 1), whatever rounding did to _cum[-1].
+        out = self._atoms[self._cum[:-1].searchsorted(u, side="right")]
         if isinstance(u, float):
             return float(out)
         return out

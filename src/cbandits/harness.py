@@ -3,14 +3,18 @@ probability that the arm selected at each checkpoint is delta-best, and
 compare the estimate against the theoretical lower bound.
 
 Experiments run on a vectorized kernel (:func:`run_chunk`) that
-advances a block of replications in lockstep.  :func:`run_trial` is its
-scalar reference: one replication, step by step, through the selection
-rule of the strategies module.  Both read their uniforms from
-:func:`~cbandits.core.step_uniforms` in the same fixed order, so every
-float they compute is equal, not merely close.  The draws of step t in
-replication r depend only on (master_seed, t, r), which makes results
-independent of scheduling, worker count and chunk layout, and leaves
-the estimate at a checkpoint unchanged when a later one is added.
+advances a block of replications in lockstep, with its state stored
+arm-major.  :func:`run_trial` is its scalar reference: one replication,
+step by step, through the selection rule of the strategies module.
+Both read their uniforms from :func:`~cbandits.core.step_uniforms` in
+the same fixed order, and every float they compute is equal, not merely
+close: the kernel applies the same per-element operations to the same
+operands, takes the first maximum by a strict ``>`` as the scalar rule
+does, and updates every arm's sums by a one-hot product, which leaves
+the arms not pulled unchanged because x + 0.0 == x.  The draws of step
+t in replication r depend only on (master_seed, t, r), which makes
+results independent of scheduling, worker count and chunk layout, and
+leaves the estimate at a checkpoint unchanged when a later one is added.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from cbandits.analysis import (
 )
 from cbandits.bounds import selection_lower_bound
 from cbandits.core import (
+    Bernoulli,
+    PointMass,
     ProblemInstance,
     ValidationError,
     _as_float,
@@ -262,6 +268,36 @@ class ChunkResult:
     trajectory_arms: np.ndarray | None = None
 
 
+def _sampler(dists):
+    """Sampler of one quantity (reward or cost) for a lockstep step.
+
+    ``sample(arm, hits, pulled, u)`` returns, per replication, the
+    ``quantile`` of its pulled arm's distribution at ``u``, bit for bit.
+    ``hits`` is the one-hot (arm, replication) mask of the pulls and
+    ``pulled`` marks the arms pulled at all.  When every arm's
+    distribution is Bernoulli, or every one a point mass, the variates
+    are gathered from per-arm parameter arrays; otherwise each pulled
+    arm's ``quantile`` is called on its replications.
+    """
+    if all(isinstance(d, Bernoulli) for d in dists):
+        p = np.array([d.p for d in dists])
+        # Bernoulli.quantile: U < p, as a double.
+        return lambda arm, hits, pulled, u: (u < p[arm]).astype(np.float64)
+    if all(isinstance(d, PointMass) for d in dists):
+        values = np.array([d.value for d in dists])
+        return lambda arm, hits, pulled, u: values[arm]
+    quantiles = [d.quantile for d in dists]
+
+    def sample(arm, hits, pulled, u):
+        out = np.empty(len(u))
+        for a in np.flatnonzero(pulled):
+            mask = hits[a]
+            out[mask] = quantiles[a](u[mask])
+        return out
+
+    return sample
+
+
 def run_chunk(
     config: ExperimentConfig,
     rep_lo: int,
@@ -270,11 +306,25 @@ def run_chunk(
 ) -> ChunkResult:
     """Advance replications [rep_lo, rep_hi) in lockstep.
 
-    Trajectories are bit-identical to :func:`run_trial` because each row
-    of a step's uniform block is exactly what trial r draws at that step,
-    and every arithmetic step mirrors the scalar path operation for
-    operation.  ``keep_trajectories`` additionally records the arm
-    each replication selected at each checkpoint, for equivalence tests.
+    Trajectories are bit-identical to :func:`run_trial`.  Each row of a
+    step's uniform block is exactly what trial r draws at that step, and
+    every float is the result of the same elementwise operation on the
+    same operands as in the scalar path:
+
+    - state is arm-major, ``(arm, replication)``; counts are doubles,
+      which hold integers exactly below 2**53, so ``level * count`` and
+      ``sum / count`` round as with integer counts;
+    - the lowest-index greedy arm is a running maximum over arms updated
+      on a strict ``>``, which keeps the first maximum, as the scalar
+      ``greedy_ties`` does; under uniform ties the arm is the ``pick``-th
+      of the arms equal to the maximum, counted in index order;
+    - no arm looks feasible exactly when the maximum is ``-inf``;
+    - a pull adds the one-hot product ``hit * value`` to every arm's
+      sums, and ``x + 0.0 == x`` for every sum (sums start at +0.0 and
+      values are nonnegative), so the arms not pulled keep their bits.
+
+    ``keep_trajectories`` additionally records the arm each replication
+    selected at each checkpoint, for equivalence tests.
     """
     if not 0 <= rep_lo < rep_hi <= config.replications:
         raise ValidationError(
@@ -293,9 +343,9 @@ def run_chunk(
     for i, delta in enumerate(config.deltas):
         membership[i, sorted(delta_best_arms(instance, delta))] = True
 
-    counts = np.zeros((n_reps, n_arms), dtype=np.int64)
-    reward_sums = np.zeros((n_reps, n_arms))
-    cost_sums = np.zeros((n_reps, n_arms))
+    counts = np.zeros((n_arms, n_reps))
+    reward_sums = np.zeros((n_arms, n_reps))
+    cost_sums = np.zeros((n_arms, n_reps))
     cum_reward = np.zeros(n_reps)
     cum_cost = np.zeros(n_reps)
 
@@ -307,14 +357,12 @@ def run_chunk(
     if keep_trajectories:
         trajectory_arms = np.zeros((n_checkpoints, n_reps), dtype=np.int64)
 
-    rows = np.arange(n_reps)
+    arm_ids = np.arange(n_arms)[:, None]
     level = instance.constraint_level
     policy = config.policy
     uniform_ties = config.tie_rule != TIE_LOWEST_INDEX
-    reward_quantiles = [arm.reward.quantile for arm in instance.arms]
-    cost_quantiles = [arm.cost.quantile for arm in instance.arms]
-    rewards = np.empty(n_reps)
-    costs = np.empty(n_reps)
+    sample_reward = _sampler([arm.reward for arm in instance.arms])
+    sample_cost = _sampler([arm.cost for arm in instance.arms])
 
     for t in range(1, config.horizon + 1):
         u_branch, u_arm, u_reward, u_cost = next(stream).T
@@ -329,34 +377,43 @@ def run_chunk(
                 feasible = counts > 0
             means = np.where(feasible, reward_sums / np.maximum(counts, 1), -np.inf)
             if uniform_ties:
-                best = means.max(axis=1)
-                is_tie = means == best[:, None]
-                n_ties = is_tie.sum(axis=1)
+                best = np.maximum.reduce(means)
+                is_tie = means == best
+                n_ties = is_tie.sum(axis=0)
                 pick = np.minimum((u_arm * n_ties).astype(np.int64), n_ties - 1)
-                greedy = np.argmax(
-                    is_tie.cumsum(axis=1) == (pick + 1)[:, None], axis=1
-                )
+                # The pick-th tie's index is the number of arms with at
+                # most ``pick`` ties up to and including them; the last
+                # arm never counts, as its running count is n_ties.
+                seen = np.zeros(n_reps, dtype=np.int64)
+                greedy = np.zeros(n_reps, dtype=np.int64)
+                for a in range(n_arms - 1):
+                    seen += is_tie[a]
+                    greedy += seen <= pick
             else:
-                greedy = np.argmax(means, axis=1)
-            take_random = (u_branch < epsilon(t)) | ~feasible.any(axis=1)
+                best = means[0]
+                greedy = np.zeros(n_reps, dtype=np.int64)
+                for a in range(1, n_arms):
+                    better = means[a] > best
+                    greedy[better] = a
+                    best = np.maximum(best, means[a])
+            take_random = (u_branch < epsilon(t)) | (best == -np.inf)
             arm = np.where(take_random, random_pick, greedy)
 
-        for a in range(n_arms):
-            mask = arm == a
-            if mask.any():
-                rewards[mask] = reward_quantiles[a](u_reward[mask])
-                costs[mask] = cost_quantiles[a](u_cost[mask])
+        hits = arm == arm_ids
+        pulled = hits.any(axis=1)
+        rewards = sample_reward(arm, hits, pulled, u_reward)
+        costs = sample_cost(arm, hits, pulled, u_cost)
 
-        counts[rows, arm] += 1
-        reward_sums[rows, arm] += rewards
-        cost_sums[rows, arm] += costs
+        counts += hits
+        reward_sums += hits * rewards
+        cost_sums += hits * costs
         cum_reward += rewards
         cum_cost += costs
 
         cp = cp_index.get(t)
         if cp is not None:
             successes[cp] += membership[:, arm].sum(axis=1)
-            arm_hits[cp] += np.bincount(arm, minlength=n_arms)
+            arm_hits[cp] += hits.sum(axis=1)
             cum_rewards[cp] = cum_reward
             cum_costs[cp] = cum_cost
             if keep_trajectories:

@@ -127,33 +127,75 @@ class TestWilsonInterval:
             wilson_interval(1, 4, z=0.0)
 
 
+def tied_point_mass_instance() -> ProblemInstance:
+    # Dyadic values keep every empirical mean exact, so arms 0 and 1 tie
+    # for the best whenever both have been played; arm 1 sits on the
+    # feasibility boundary.
+    return ProblemInstance(
+        arms=(
+            Arm(PointMass(0.5), PointMass(0.25)),
+            Arm(PointMass(0.5), PointMass(0.5)),
+            Arm(PointMass(0.25), PointMass(0.125)),
+        ),
+        constraint_level=0.5,
+    )
+
+
+def six_arm_instance() -> ProblemInstance:
+    lattice = (0.0, 0.5, 1.0)
+    return ProblemInstance(
+        arms=(
+            Arm(Discrete(lattice, (0.2, 0.3, 0.5)), Bernoulli(0.3)),
+            Arm(Beta(2.0, 2.0), Discrete((0.1, 0.5), (0.5, 0.5))),
+            Arm(Discrete(lattice, (0.3, 0.2, 0.5)), PointMass(0.4)),
+            Arm(Bernoulli(0.6), Beta(3.0, 2.0)),
+            Arm(PointMass(0.5), Bernoulli(0.5)),
+            Arm(Discrete(lattice, (0.25, 0.5, 0.25)), Discrete((0.2, 0.6), (0.5, 0.5))),
+        ),
+        constraint_level=0.5,
+    )
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize(
         "policy", [POLICY_CONSTRAINED, POLICY_UNIFORM, POLICY_UNCONSTRAINED]
     )
     @pytest.mark.parametrize("tie_rule", [TIE_LOWEST_INDEX, TIE_UNIFORM])
     def test_bitwise_equivalence(self, policy, tie_rule):
-        config = ExperimentConfig(
-            instance=mixed_instance(),
-            schedule=InverseTimeSchedule(5.0),
-            checkpoints=(1, 7, 50, 250),
-            deltas=(0.0, 0.1, 1.0),
-            replications=48,
-            master_seed=2026,
-            policy=policy,
-            tie_rule=tie_rule,
-        )
-        chunk = run_chunk(config, 0, config.replications, keep_trajectories=True)
-        successes = np.zeros_like(chunk.successes)
-        for rep in range(config.replications):
-            records = run_trial(config, rep)
-            assert [r.t for r in records] == list(config.checkpoints)
-            for ci, rec in enumerate(records):
-                assert rec.arm == chunk.trajectory_arms[ci, rep]
-                assert rec.cumulative_reward == chunk.cum_rewards[ci, rep]
-                assert rec.cumulative_cost == chunk.cum_costs[ci, rep]
-                successes[ci] += np.asarray(rec.events, dtype=np.int64)
-        assert np.array_equal(successes, chunk.successes)
+        # One instance per sampling path of the kernel: per-arm quantile
+        # calls (mixed), the Bernoulli and point-mass parameter gathers,
+        # and a wide instance with lattice ties.
+        instances = {
+            "mixed": mixed_instance(),
+            "bernoulli": separated_instance(),
+            "tied_point_mass": tied_point_mass_instance(),
+            "six_arm": six_arm_instance(),
+        }
+        for name, instance in instances.items():
+            config = ExperimentConfig(
+                instance=instance,
+                schedule=InverseTimeSchedule(5.0),
+                checkpoints=(1, 7, 50, 250),
+                deltas=(0.0, 0.1, 1.0),
+                replications=48,
+                master_seed=2026,
+                policy=policy,
+                tie_rule=tie_rule,
+            )
+            chunk = run_chunk(config, 0, config.replications, keep_trajectories=True)
+            successes = np.zeros_like(chunk.successes)
+            arm_hits = np.zeros_like(chunk.arm_hits)
+            for rep in range(config.replications):
+                records = run_trial(config, rep)
+                assert [r.t for r in records] == list(config.checkpoints), name
+                for ci, rec in enumerate(records):
+                    assert rec.arm == chunk.trajectory_arms[ci, rep], name
+                    assert rec.cumulative_reward == chunk.cum_rewards[ci, rep], name
+                    assert rec.cumulative_cost == chunk.cum_costs[ci, rep], name
+                    successes[ci] += np.asarray(rec.events, dtype=np.int64)
+                    arm_hits[ci, rec.arm] += 1
+            assert np.array_equal(successes, chunk.successes), name
+            assert np.array_equal(arm_hits, chunk.arm_hits), name
 
     def test_checkpoint_totals_are_exact_sums(self):
         # The means must not depend on how numpy orders a reduction, so
@@ -177,12 +219,22 @@ class TestKernelMatchesReference:
             assert diagnostics["mean_cumulative_cost"][ci] == math.fsum(costs) / 48
 
     def test_chunk_split_invariance(self):
-        config = base_config(replications=40, checkpoints=(1, 9, 60))
-        whole = run_chunk(config, 0, 40)
-        split_successes = np.zeros_like(whole.successes)
-        for lo, hi in ((0, 13), (13, 14), (14, 40)):
-            split_successes += run_chunk(config, lo, hi).successes
-        assert np.array_equal(whole.successes, split_successes)
+        config = base_config(
+            instance=mixed_instance(), replications=40, checkpoints=(1, 9, 60),
+            tie_rule=TIE_UNIFORM,
+        )
+        whole = run_chunk(config, 0, 40, keep_trajectories=True)
+        layouts = (
+            ((0, 13), (13, 14), (14, 40)),
+            tuple((r, r + 1) for r in range(40)),
+        )
+        for layout in layouts:
+            parts = [run_chunk(config, lo, hi, keep_trajectories=True) for lo, hi in layout]
+            assert np.array_equal(whole.successes, sum(p.successes for p in parts))
+            assert np.array_equal(whole.arm_hits, sum(p.arm_hits for p in parts))
+            for field in ("cum_rewards", "cum_costs", "trajectory_arms"):
+                joined = np.concatenate([getattr(p, field) for p in parts], axis=1)
+                assert np.array_equal(getattr(whole, field), joined), field
 
     def test_trial_determinism(self):
         config = base_config()
