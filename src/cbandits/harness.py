@@ -9,7 +9,8 @@ step by step, through the selection rule of the strategies module.
 Both read their uniforms from :func:`~cbandits.core.step_uniforms` in
 the same fixed order, and every float they compute is equal, not merely
 close: the kernel applies the same per-element operations to the same
-operands, takes the first maximum by a strict ``>`` as the scalar rule
+operands, picks among the arms equal to the maximum in index order, so
+that the lowest-index rule takes the first maximum as the scalar rule
 does, and updates every arm's sums by a one-hot product, which leaves
 the arms not pulled unchanged because x + 0.0 == x.  The draws of step
 t in replication r depend only on (master_seed, t, r), which makes
@@ -36,7 +37,6 @@ from cbandits.analysis import (
 from cbandits.bounds import selection_lower_bound
 from cbandits.core import (
     Bernoulli,
-    PointMass,
     ProblemInstance,
     ValidationError,
     _as_float,
@@ -271,26 +271,22 @@ class ChunkResult:
 def _sampler(dists):
     """Sampler of one quantity (reward or cost) for a lockstep step.
 
-    ``sample(arm, hits, pulled, u)`` returns, per replication, the
-    ``quantile`` of its pulled arm's distribution at ``u``, bit for bit.
-    ``hits`` is the one-hot (arm, replication) mask of the pulls and
-    ``pulled`` marks the arms pulled at all.  When every arm's
-    distribution is Bernoulli, or every one a point mass, the variates
-    are gathered from per-arm parameter arrays; otherwise each pulled
-    arm's ``quantile`` is called on its replications.
+    ``sample(arm, hits, u)`` returns, per replication, the ``quantile``
+    of its pulled arm's distribution at ``u``, bit for bit; ``hits`` is
+    the one-hot (arm, replication) mask of the pulls.  When every arm's
+    distribution is Bernoulli the variates are gathered from the arms'
+    success probabilities; otherwise each pulled arm's ``quantile`` is
+    called on its replications.
     """
     if all(isinstance(d, Bernoulli) for d in dists):
         p = np.array([d.p for d in dists])
         # Bernoulli.quantile: U < p, as a double.
-        return lambda arm, hits, pulled, u: (u < p[arm]).astype(np.float64)
-    if all(isinstance(d, PointMass) for d in dists):
-        values = np.array([d.value for d in dists])
-        return lambda arm, hits, pulled, u: values[arm]
+        return lambda arm, hits, u: (u < p[arm]).astype(np.float64)
     quantiles = [d.quantile for d in dists]
 
-    def sample(arm, hits, pulled, u):
+    def sample(arm, hits, u):
         out = np.empty(len(u))
-        for a in np.flatnonzero(pulled):
+        for a in np.flatnonzero(hits.any(axis=1)):
             mask = hits[a]
             out[mask] = quantiles[a](u[mask])
         return out
@@ -314,10 +310,9 @@ def run_chunk(
     - state is arm-major, ``(arm, replication)``; counts are doubles,
       which hold integers exactly below 2**53, so ``level * count`` and
       ``sum / count`` round as with integer counts;
-    - the lowest-index greedy arm is a running maximum over arms updated
-      on a strict ``>``, which keeps the first maximum, as the scalar
-      ``greedy_ties`` does; under uniform ties the arm is the ``pick``-th
-      of the arms equal to the maximum, counted in index order;
+    - the greedy arm is the ``pick``-th of the arms equal to the
+      maximum, counted in index order; under lowest-index ties ``pick``
+      is 0, the first maximum, as the scalar ``greedy_ties`` takes it;
     - no arm looks feasible exactly when the maximum is ``-inf``;
     - a pull adds the one-hot product ``hit * value`` to every arm's
       sums, and ``x + 0.0 == x`` for every sum (sums start at +0.0 and
@@ -376,33 +371,27 @@ def run_chunk(
             else:
                 feasible = counts > 0
             means = np.where(feasible, reward_sums / np.maximum(counts, 1), -np.inf)
+            best = np.maximum.reduce(means)
+            is_tie = means == best
             if uniform_ties:
-                best = np.maximum.reduce(means)
-                is_tie = means == best
                 n_ties = is_tie.sum(axis=0)
                 pick = np.minimum((u_arm * n_ties).astype(np.int64), n_ties - 1)
-                # The pick-th tie's index is the number of arms with at
-                # most ``pick`` ties up to and including them; the last
-                # arm never counts, as its running count is n_ties.
-                seen = np.zeros(n_reps, dtype=np.int64)
-                greedy = np.zeros(n_reps, dtype=np.int64)
-                for a in range(n_arms - 1):
-                    seen += is_tie[a]
-                    greedy += seen <= pick
             else:
-                best = means[0]
-                greedy = np.zeros(n_reps, dtype=np.int64)
-                for a in range(1, n_arms):
-                    better = means[a] > best
-                    greedy[better] = a
-                    best = np.maximum(best, means[a])
+                pick = 0
+            # The greedy arm is the pick-th tie in index order: the number
+            # of arms with at most ``pick`` ties up to and including them.
+            # The last arm never counts, as its running count is n_ties.
+            seen = np.zeros(n_reps, dtype=np.int64)
+            greedy = np.zeros(n_reps, dtype=np.int64)
+            for a in range(n_arms - 1):
+                seen += is_tie[a]
+                greedy += seen <= pick
             take_random = (u_branch < epsilon(t)) | (best == -np.inf)
             arm = np.where(take_random, random_pick, greedy)
 
         hits = arm == arm_ids
-        pulled = hits.any(axis=1)
-        rewards = sample_reward(arm, hits, pulled, u_reward)
-        costs = sample_cost(arm, hits, pulled, u_cost)
+        rewards = sample_reward(arm, hits, u_reward)
+        costs = sample_cost(arm, hits, u_cost)
 
         counts += hits
         reward_sums += hits * rewards

@@ -156,46 +156,55 @@ def six_arm_instance() -> ProblemInstance:
     )
 
 
+def assert_chunk_matches_trials(instance, policy, tie_rule):
+    config = ExperimentConfig(
+        instance=instance,
+        schedule=InverseTimeSchedule(5.0),
+        checkpoints=(1, 7, 50, 250),
+        deltas=(0.0, 0.1, 1.0),
+        replications=48,
+        master_seed=2026,
+        policy=policy,
+        tie_rule=tie_rule,
+    )
+    chunk = run_chunk(config, 0, config.replications, keep_trajectories=True)
+    successes = np.zeros_like(chunk.successes)
+    arm_hits = np.zeros_like(chunk.arm_hits)
+    for rep in range(config.replications):
+        records = run_trial(config, rep)
+        assert [r.t for r in records] == list(config.checkpoints)
+        for ci, rec in enumerate(records):
+            assert rec.arm == chunk.trajectory_arms[ci, rep]
+            assert rec.cumulative_reward == chunk.cum_rewards[ci, rep]
+            assert rec.cumulative_cost == chunk.cum_costs[ci, rep]
+            successes[ci] += np.asarray(rec.events, dtype=np.int64)
+            arm_hits[ci, rec.arm] += 1
+    assert np.array_equal(successes, chunk.successes)
+    assert np.array_equal(arm_hits, chunk.arm_hits)
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize(
         "policy", [POLICY_CONSTRAINED, POLICY_UNIFORM, POLICY_UNCONSTRAINED]
     )
     @pytest.mark.parametrize("tie_rule", [TIE_LOWEST_INDEX, TIE_UNIFORM])
     def test_bitwise_equivalence(self, policy, tie_rule):
-        # One instance per sampling path of the kernel: per-arm quantile
-        # calls (mixed), the Bernoulli and point-mass parameter gathers,
+        # Per-arm quantile calls over every distribution family.
+        assert_chunk_matches_trials(mixed_instance(), policy, tie_rule)
+
+    @pytest.mark.parametrize(
+        "policy", [POLICY_CONSTRAINED, POLICY_UNIFORM, POLICY_UNCONSTRAINED]
+    )
+    @pytest.mark.parametrize("tie_rule", [TIE_LOWEST_INDEX, TIE_UNIFORM])
+    @pytest.mark.parametrize(
+        "make_instance",
+        [separated_instance, tied_point_mass_instance, six_arm_instance],
+        ids=["bernoulli", "tied_point_mass", "six_arm"],
+    )
+    def test_bitwise_equivalence_per_instance(self, make_instance, policy, tie_rule):
+        # The Bernoulli parameter gather, exact ties between point masses,
         # and a wide instance with lattice ties.
-        instances = {
-            "mixed": mixed_instance(),
-            "bernoulli": separated_instance(),
-            "tied_point_mass": tied_point_mass_instance(),
-            "six_arm": six_arm_instance(),
-        }
-        for name, instance in instances.items():
-            config = ExperimentConfig(
-                instance=instance,
-                schedule=InverseTimeSchedule(5.0),
-                checkpoints=(1, 7, 50, 250),
-                deltas=(0.0, 0.1, 1.0),
-                replications=48,
-                master_seed=2026,
-                policy=policy,
-                tie_rule=tie_rule,
-            )
-            chunk = run_chunk(config, 0, config.replications, keep_trajectories=True)
-            successes = np.zeros_like(chunk.successes)
-            arm_hits = np.zeros_like(chunk.arm_hits)
-            for rep in range(config.replications):
-                records = run_trial(config, rep)
-                assert [r.t for r in records] == list(config.checkpoints), name
-                for ci, rec in enumerate(records):
-                    assert rec.arm == chunk.trajectory_arms[ci, rep], name
-                    assert rec.cumulative_reward == chunk.cum_rewards[ci, rep], name
-                    assert rec.cumulative_cost == chunk.cum_costs[ci, rep], name
-                    successes[ci] += np.asarray(rec.events, dtype=np.int64)
-                    arm_hits[ci, rec.arm] += 1
-            assert np.array_equal(successes, chunk.successes), name
-            assert np.array_equal(arm_hits, chunk.arm_hits), name
+        assert_chunk_matches_trials(make_instance(), policy, tie_rule)
 
     def test_checkpoint_totals_are_exact_sums(self):
         # The means must not depend on how numpy orders a reduction, so
