@@ -4,19 +4,21 @@ selection probabilities by exact enumeration.
 The enumeration oracle pushes probability mass forward one step at a
 time over the strategy's sufficient statistics, the per-arm (count,
 reward sum, cost sum).  Every branch/outcome path that reaches the same
-statistics is merged into one state, in exact rational arithmetic by
-default.  At each state it applies the same greedy rule as the
-simulator (:func:`cbandits.strategies.greedy_ties`), for the configured
-policy and tie rule.  It exists to pin down ground truth for short
-horizons; the Monte Carlo harness is validated against it.
+statistics is merged into one state.  The pass is one function over the
+arms' atom tables (:meth:`cbandits.core.Distribution.atoms`), run in one
+number type: ``Fraction`` for the exact law (the default) or ``float``
+for the simulator's doubles.  At each state it applies the same greedy
+rule as the simulator (:func:`cbandits.strategies.greedy_ties`), for the
+configured policy and tie rule.  It exists to pin down ground truth for
+short horizons; the Monte Carlo harness is validated against it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from cbandits.core import ProblemInstance, ValidationError, _as_float, _as_int
 from cbandits.strategies import (
@@ -148,13 +150,10 @@ class FeasibilityProfile:
     optimal: frozenset[int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "constraint_level": self.constraint_level,
-            "rho": self.rho,
-            "eta": self.eta,
-            "feasible": sorted(self.feasible),
-            "optimal": sorted(self.optimal),
-        }
+        out = asdict(self)
+        out["feasible"] = sorted(self.feasible)
+        out["optimal"] = sorted(self.optimal)
+        return out
 
 
 def feasibility_profile(instance: ProblemInstance) -> FeasibilityProfile:
@@ -196,125 +195,94 @@ class OracleResult:
         raise KeyError(f"delta {delta} was not requested")
 
     def to_json_dict(self) -> dict:
-        out = {
-            "t": self.t,
-            "method": self.method,
-            "nodes": self.nodes,
-            "arm_probabilities": list(self.arm_probabilities),
-            "delta_events": [
-                {"delta": d, "probability": p} for d, p in self.delta_events
-            ],
-        }
-        if self.arm_probabilities_exact is not None:
-            out["arm_probabilities_exact"] = [
-                f"{p.numerator}/{p.denominator}" for p in self.arm_probabilities_exact
-            ]
+        """Field values; exact rationals as "num/den", omitted when absent."""
+        out = asdict(self)
+        out["delta_events"] = [{"delta": d, "probability": p} for d, p in self.delta_events]
+        exact = out.pop("arm_probabilities_exact")
+        if exact is not None:
+            out["arm_probabilities_exact"] = [f"{p.numerator}/{p.denominator}" for p in exact]
         return out
 
 
-class _Enumerator:
-    """Layered forward pass over the merged states of the strategy."""
+def _forward_pass(tables, eps, level, policy, tie_rule, num, max_nodes):
+    """Law of the arm selected at the last step, and the states expanded.
 
-    def __init__(self, instance, eps, level, policy, tie_rule, exact, max_nodes):
-        self.num_arms = instance.num_arms
-        self.eps = eps
-        self.level = level
-        self.policy = policy
-        self.tie_rule = tie_rule
-        self.exact = exact
-        self.max_nodes = max_nodes
-        self.nodes = 0
-        zero = Fraction(0) if exact else 0.0
-        self.arm_mass = [zero] * self.num_arms
-        one = Fraction(1) if exact else 1.0
-        self.uniform = one / self.num_arms
-        # Outcome tables: (value-for-sums, probability) per atom.
-        self.rewards = []
-        self.costs = []
-        for arm in instance.arms:
-            self.rewards.append(self._atoms(arm.reward))
-            self.costs.append(self._atoms(arm.cost))
+    ``tables[a]`` holds arm ``a``'s reward and cost atoms as ``num``
+    pairs, and ``eps`` the exploration probability of each step.  Each
+    layer maps a state ``(counts, reward_sums, cost_sums)``, with the sums
+    kept exactly as the simulator accumulates them, to its probability
+    mass.  Paths that reach the same state are merged, so each state's
+    selection law is computed once.
+    """
+    n = len(tables)
+    zero, one = num(0), num(1)
+    uniform = one / n
+    arm_mass = [zero] * n
+    nodes = 0
 
-    def _atoms(self, dist):
-        values = dist.support_values()
-        probs = dist.support_probabilities(exact=self.exact)
-        convert = Fraction if self.exact else float
-        return [
-            (convert(v), convert(p)) for v, p in zip(values, probs) if p > 0.0
-        ]
-
-    def _selection_law(self, counts, reward_sums, cost_sums, eps_t):
-        """Probability of choosing each arm given the current statistics."""
-        one = Fraction(1) if self.exact else 1.0
-        law = [eps_t * self.uniform] * self.num_arms
-        greedy_mass = one - eps_t
-        ties = greedy_ties(
-            counts, reward_sums, cost_sums, self.level, self.policy, self.tie_rule
-        )
-        if not ties:
-            ties, share = range(self.num_arms), greedy_mass * self.uniform
-        elif len(ties) == 1:
-            share = greedy_mass
-        else:
-            share = greedy_mass / len(ties)
-        for a in ties:
-            law[a] = law[a] + share
-        return law
-
-    def _check_budget(self, pending):
-        if self.nodes + pending > self.max_nodes:
+    def check_budget(pending):
+        if nodes + pending > max_nodes:
             raise ValidationError(
-                "oracle_tree_too_large",
-                f"enumeration exceeded {self.max_nodes} states",
+                "oracle_tree_too_large", f"enumeration exceeded {max_nodes} states"
             )
 
-    def _laws(self, layer, eps_t):
-        """Each state of ``layer`` with its mass and its selection law."""
-        self._check_budget(len(layer))
-        self.nodes += len(layer)
+    layer = {((0,) * n, (zero,) * n, (zero,) * n): one}
+    for step, eps_t in enumerate(eps, 1):
+        check_budget(len(layer))
+        nodes += len(layer)
+        greedy_mass = one - eps_t
+        children = {}
         for (counts, reward_sums, cost_sums), prob in layer.items():
-            law = self._selection_law(counts, reward_sums, cost_sums, eps_t)
-            yield counts, reward_sums, cost_sums, prob, law
-
-    def run(self):
-        """Forward pass over the steps 1..t.
-
-        Each layer maps a state ``(counts, reward_sums, cost_sums)``, with
-        the sums kept exactly as the simulator accumulates them, to its
-        probability mass.  Paths that reach the same state are merged, so
-        each state's selection law is computed once.
-        """
-        zero = Fraction(0) if self.exact else 0.0
-        one = Fraction(1) if self.exact else 1.0
-        n = self.num_arms
-        layer = {((0,) * n, (zero,) * n, (zero,) * n): one}
-        for eps_t in self.eps[:-1]:
-            children = {}
-            for counts, reward_sums, cost_sums, prob, law in self._laws(layer, eps_t):
+            law = [eps_t * uniform] * n
+            ties = greedy_ties(counts, reward_sums, cost_sums, level, policy, tie_rule)
+            if not ties:
+                ties, share = range(n), greedy_mass * uniform
+            elif len(ties) == 1:
+                share = greedy_mass
+            else:
+                share = greedy_mass / len(ties)
+            for a in ties:
+                law[a] = law[a] + share
+            if step == len(eps):
                 for a in range(n):
-                    p_arm = prob * law[a]
-                    if p_arm == 0:
-                        continue
-                    next_counts = counts[:a] + (counts[a] + 1,) + counts[a + 1 :]
-                    for x, px in self.rewards[a]:
-                        next_rewards = (
-                            reward_sums[:a] + (reward_sums[a] + x,) + reward_sums[a + 1 :]
-                        )
-                        p_reward = p_arm * px
-                        for y, py in self.costs[a]:
-                            next_costs = (
-                                cost_sums[:a] + (cost_sums[a] + y,) + cost_sums[a + 1 :]
-                            )
-                            key = (next_counts, next_rewards, next_costs)
-                            children[key] = children.get(key, zero) + p_reward * py
-                # Checked while the layer grows, so memory stays within
-                # the budget too.
-                self._check_budget(len(children))
-            layer = children
-        for _, _, _, prob, law in self._laws(layer, self.eps[-1]):
-            for a in range(n):
-                self.arm_mass[a] = self.arm_mass[a] + prob * law[a]
-        return self.arm_mass, self.nodes
+                    arm_mass[a] = arm_mass[a] + prob * law[a]
+                continue
+            for a, (rewards, costs) in enumerate(tables):
+                p_arm = prob * law[a]
+                if p_arm == 0:
+                    continue
+                next_counts = counts[:a] + (counts[a] + 1,) + counts[a + 1 :]
+                for x, px in rewards:
+                    next_rewards = reward_sums[:a] + (reward_sums[a] + x,) + reward_sums[a + 1 :]
+                    p_reward = p_arm * px
+                    for y, py in costs:
+                        next_costs = cost_sums[:a] + (cost_sums[a] + y,) + cost_sums[a + 1 :]
+                        key = (next_counts, next_rewards, next_costs)
+                        children[key] = children.get(key, zero) + p_reward * py
+            # Checked while the layer grows, so memory stays within the
+            # budget too.
+            check_budget(len(children))
+        layer = children
+    return arm_mass, nodes
+
+
+def _atom_tables(instance: ProblemInstance, num) -> list:
+    """Each arm's (reward, cost) atoms with positive mass, as ``num`` pairs."""
+    tables = []
+    for arm_index, arm in enumerate(instance.arms):
+        parts = []
+        for part_name, dist in (("reward", arm.reward), ("cost", arm.cost)):
+            try:
+                atoms = dist.atoms(exact=num is Fraction)
+            except ValidationError as err:
+                raise ValidationError(
+                    err.code,
+                    f"arm {arm_index} {part_name} has continuous support; "
+                    "the enumeration oracle needs finite-support distributions",
+                ) from None
+            parts.append([(num(v), num(p)) for v, p in atoms if p > 0.0])
+        tables.append(tuple(parts))
+    return tables
 
 
 def exact_selection_probability(
@@ -324,7 +292,7 @@ def exact_selection_probability(
     deltas: Sequence[float] = (),
     tie_rule: str = TIE_LOWEST_INDEX,
     policy: str = POLICY_CONSTRAINED,
-    method: str = "auto",
+    method: str = "fraction",
     max_steps: int = ORACLE_MAX_STEPS,
     max_nodes: int = 2_000_000,
 ) -> OracleResult:
@@ -333,22 +301,23 @@ def exact_selection_probability(
     ``policy`` and ``tie_rule`` are the strategy's (config key
     ``strategy``); under the ``uniform`` policy every step is uniform.
     Requires every reward and cost distribution to have finite support
-    and ``t`` at most ``max_steps``.  The work grows with the number of
-    distinct (counts, reward sums, cost sums) states at each step, and
-    ``max_nodes`` caps the states expanded, summed over the steps.  ``method`` is ``"fraction"`` for exact rational
-    arithmetic (the default via ``"auto"``), over the exact law of each
-    distribution's ``quantile(U)``, so the probabilities sum to exactly
-    1; or ``"float"`` for double precision mirroring the simulator's
-    arithmetic exactly: the sums are the simulator's doubles, so its
-    feasibility test ``cost_sum <= level * count`` decides as it does in
-    the simulator, even where rounding makes that differ from the exact
-    comparison.
+    (:meth:`cbandits.core.Distribution.atoms`) and ``t`` at most
+    ``max_steps``.  The work grows with the number of distinct (counts,
+    reward sums, cost sums) states at each step, and ``max_nodes`` caps
+    the states expanded, summed over the steps.  ``method`` is
+    ``"fraction"`` (the default) for exact rational arithmetic, over the
+    exact law of each distribution's ``quantile(U)``, so the
+    probabilities sum to exactly 1; or ``"float"`` for double precision
+    mirroring the simulator's arithmetic exactly: the sums are the
+    simulator's doubles, so its feasibility test ``cost_sum <= level *
+    count`` decides as it does in the simulator, even where rounding
+    makes that differ from the exact comparison.
 
     Returns per-arm probabilities and, for each requested ``delta``, the
     probability that the selected arm is delta-best.
     """
     _check_strategy(policy, tie_rule)
-    if method not in ("auto", "fraction", "float"):
+    if method not in ("fraction", "float"):
         raise ValidationError("bad_parameter", f"unknown oracle method {method!r}")
     t = _as_int(t, "bad_parameter", "t", 1)
     if t > max_steps:
@@ -356,38 +325,27 @@ def exact_selection_probability(
             "oracle_horizon",
             f"enumeration is capped at {max_steps} steps, got t={t}",
         )
-    for arm_index, arm in enumerate(instance.arms):
-        for part_name, dist in (("reward", arm.reward), ("cost", arm.cost)):
-            if not dist.has_finite_support:
-                raise ValidationError(
-                    "continuous_support",
-                    f"arm {arm_index} {part_name} has continuous support; "
-                    "the enumeration oracle needs finite-support distributions",
-                )
+    num = Fraction if method == "fraction" else float
+    tables = _atom_tables(instance, num)
     deltas = tuple(_as_float(d, "bad_parameter", "delta", 0.0) for d in deltas)
 
-    exact = method in ("auto", "fraction")
     if policy == POLICY_UNIFORM:
-        eps_values = [1.0] * t
+        eps = [num(1)] * t
     else:
-        eps_values = [schedule.epsilon(n) for n in range(1, t + 1)]
-    eps = [Fraction(e) for e in eps_values] if exact else [float(e) for e in eps_values]
-    level = Fraction(instance.constraint_level) if exact else instance.constraint_level
-
-    enumerator = _Enumerator(instance, eps, level, policy, tie_rule, exact, max_nodes)
-    mass, nodes = enumerator.run()
+        eps = [num(schedule.epsilon(n)) for n in range(1, t + 1)]
+    level = num(instance.constraint_level)
+    mass, nodes = _forward_pass(tables, eps, level, policy, tie_rule, num, max_nodes)
 
     events = []
     for d in deltas:
         best = delta_best_arms(instance, d)
-        total = sum((mass[a] for a in sorted(best)), Fraction(0) if exact else 0.0)
-        events.append((d, float(total)))
+        events.append((d, float(sum((mass[a] for a in sorted(best)), num(0)))))
 
     return OracleResult(
         t=t,
-        method="fraction" if exact else "float",
+        method=method,
         nodes=nodes,
         arm_probabilities=tuple(float(p) for p in mass),
-        arm_probabilities_exact=tuple(mass) if exact else None,
+        arm_probabilities_exact=tuple(mass) if num is Fraction else None,
         delta_events=tuple(events),
     )

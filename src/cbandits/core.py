@@ -52,6 +52,8 @@ DRAWS_PER_STEP = 4
 _MAX_SEED = 2**64
 
 ArrayLike = Union[float, np.ndarray]
+# (value, probability) pairs; the probability is a Fraction in exact mode.
+Atoms = tuple[tuple[float, Union[float, Fraction]], ...]
 
 
 class ValidationError(ValueError):
@@ -104,7 +106,9 @@ class Distribution(ABC):
 
     Subclasses expose exact first and second moments and an inverse CDF
     (``quantile``).  A variate is ``quantile(u)`` of one uniform ``u``,
-    whatever the distribution kind.
+    whatever the distribution kind.  Finite-support kinds also list their
+    ``atoms``, the table the enumeration oracle reads; a continuous kind
+    inherits the ``continuous_support`` error.
     """
 
     kind: str = "abstract"
@@ -132,23 +136,13 @@ class Distribution(ABC):
     def to_config(self) -> dict:
         """Serializable ``{"kind": ..., <params>}`` mapping."""
 
-    @property
-    def has_finite_support(self) -> bool:
-        return True
+    def atoms(self, exact: bool = False) -> Atoms:
+        """``(value, probability)`` pairs of a finite-support distribution.
 
-    def support_values(self) -> tuple[float, ...]:
-        """Atoms of a finite-support distribution, ascending."""
-        raise ValidationError(
-            "continuous_support",
-            f"{self.kind} distribution has continuous support",
-        )
-
-    def support_probabilities(self, exact: bool = False) -> tuple:
-        """Probabilities matching ``support_values``.
-
-        With ``exact``, the exact law of ``quantile(U)`` for ``U`` uniform
-        on [0, 1), as Fractions that sum to exactly 1; otherwise the
-        stored parameters as floats.
+        With ``exact``, the probabilities are the exact law of
+        ``quantile(U)`` for ``U`` uniform on [0, 1), as Fractions that sum
+        to exactly 1; otherwise they are the stored parameters as floats.
+        A continuous distribution raises ``continuous_support``.
         """
         raise ValidationError(
             "continuous_support",
@@ -184,11 +178,8 @@ class PointMass(Distribution):
             return self.value
         return np.full_like(np.asarray(u, dtype=np.float64), self.value)
 
-    def support_values(self) -> tuple[float, ...]:
-        return (self.value,)
-
-    def support_probabilities(self, exact: bool = False) -> tuple:
-        return (Fraction(1),) if exact else (1.0,)
+    def atoms(self, exact: bool = False) -> Atoms:
+        return ((self.value, Fraction(1) if exact else 1.0),)
 
     def to_config(self) -> dict:
         return {"kind": "point_mass", "value": self.value}
@@ -221,14 +212,9 @@ class Bernoulli(Distribution):
             return 1.0 if u < self.p else 0.0
         return (np.asarray(u) < self.p).astype(np.float64)
 
-    def support_values(self) -> tuple[float, ...]:
-        return (0.0, 1.0)
-
-    def support_probabilities(self, exact: bool = False) -> tuple:
-        if exact:
-            p = Fraction(self.p)
-            return (1 - p, p)
-        return (1.0 - self.p, self.p)
+    def atoms(self, exact: bool = False) -> Atoms:
+        p = Fraction(self.p) if exact else self.p
+        return ((0.0, 1 - p), (1.0, p))
 
     def to_config(self) -> dict:
         return {"kind": "bernoulli", "p": self.p}
@@ -302,17 +288,15 @@ class Discrete(Distribution):
             return float(out)
         return out
 
-    def support_values(self) -> tuple[float, ...]:
-        return self.values
-
-    def support_probabilities(self, exact: bool = False) -> tuple:
-        if not exact:
-            return self.probabilities
-        # quantile(u) is atom i for u in [_cum[i-1], _cum[i]); the last atom
-        # takes the rest of [0, 1), whatever rounding did to _cum.
-        cuts = [min(Fraction(c), Fraction(1)) for c in self._cum[:-1]]
-        cuts = [Fraction(0)] + cuts + [Fraction(1)]
-        return tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
+    def atoms(self, exact: bool = False) -> Atoms:
+        probs = self.probabilities
+        if exact:
+            # quantile(u) is atom i for u in [_cum[i-1], _cum[i]); the last
+            # atom takes the rest of [0, 1), whatever rounding did to _cum.
+            cuts = [min(Fraction(c), Fraction(1)) for c in self._cum[:-1]]
+            cuts = [Fraction(0)] + cuts + [Fraction(1)]
+            probs = tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
+        return tuple(zip(self.values, probs))
 
     def to_config(self) -> dict:
         return {
@@ -349,10 +333,6 @@ class Beta(Distribution):
         a, b = self.shape1, self.shape2
         return a * b / ((a + b) ** 2 * (a + b + 1.0))
 
-    @property
-    def has_finite_support(self) -> bool:
-        return False
-
     def quantile(self, u: ArrayLike) -> ArrayLike:
         out = betaincinv(self.shape1, self.shape2, u)
         if isinstance(u, float):
@@ -363,11 +343,15 @@ class Beta(Distribution):
         return {"kind": "beta", "shape1": self.shape1, "shape2": self.shape2}
 
 
+# kind -> (class, config keys, constructor fields), the keys in field order.
 _DISTRIBUTION_KINDS = {
-    "point_mass": (PointMass, ("value",)),
-    "bernoulli": (Bernoulli, ("p",)),
-    "discrete": (Discrete, ("values", "probabilities")),
-    "beta": (Beta, ("shape1", "shape2")),
+    cls.kind: (cls, keys, keys)
+    for cls, keys in (
+        (PointMass, ("value",)),
+        (Bernoulli, ("p",)),
+        (Discrete, ("values", "probabilities")),
+        (Beta, ("shape1", "shape2")),
+    )
 }
 
 
@@ -387,6 +371,29 @@ def _check_keys(mapping: Mapping, allowed: Iterable[str], path: str) -> None:
             )
 
 
+def _from_kind_table(config, path: str, kinds: Mapping):
+    """Build ``cls(**fields)`` from ``{"kind": ..., <keys>}`` for the kind's
+    ``(cls, keys, fields)`` entry in ``kinds``.  Sequences become tuples."""
+    config = _require_mapping(config, path)
+    kind = config.get("kind")
+    if kind not in kinds:
+        raise ValidationError(
+            "unknown_kind",
+            f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}",
+        )
+    cls, keys, fields = kinds[kind]
+    _check_keys(config, ("kind",) + keys, path)
+    kwargs = {}
+    for key, field_name in zip(keys, fields):
+        if key not in config:
+            raise ValidationError("bad_config", f"{path} is missing key {key!r}")
+        value = config[key]
+        if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
+            value = tuple(value)
+        kwargs[field_name] = value
+    return cls(**kwargs)
+
+
 def distribution_from_config(config: Mapping, path: str = "distribution") -> Distribution:
     """Build a :class:`Distribution` from ``{"kind": ..., <params>}``.
 
@@ -396,24 +403,7 @@ def distribution_from_config(config: Mapping, path: str = "distribution") -> Dis
         If the kind is unknown, a key is unrecognized, or parameter
         validation fails.
     """
-    config = _require_mapping(config, path)
-    kind = config.get("kind")
-    if kind not in _DISTRIBUTION_KINDS:
-        raise ValidationError(
-            "unknown_kind",
-            f"{path}.kind must be one of {sorted(_DISTRIBUTION_KINDS)}, got {kind!r}",
-        )
-    cls, params = _DISTRIBUTION_KINDS[kind]
-    _check_keys(config, ("kind",) + params, path)
-    kwargs = {}
-    for name in params:
-        if name not in config:
-            raise ValidationError("bad_config", f"{path} is missing key {name!r}")
-        value = config[name]
-        if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-            value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    return _from_kind_table(config, path, _DISTRIBUTION_KINDS)
 
 
 # ---------------------------------------------------------------------------

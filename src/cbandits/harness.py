@@ -121,11 +121,13 @@ class ExperimentConfig:
         if not deltas:
             raise ValidationError("bad_config", "deltas must be non-empty")
         replications = _as_int(self.replications, "bad_config", "replications", 1)
-        experiment_key(self.master_seed)
+        master_seed = _as_int(self.master_seed, "bad_parameter", "master_seed", 0)
+        experiment_key(master_seed)
         _check_strategy(self.policy, self.tie_rule)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "replications", replications)
+        object.__setattr__(self, "master_seed", master_seed)
 
     @property
     def horizon(self) -> int:

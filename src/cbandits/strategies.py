@@ -25,8 +25,7 @@ from cbandits.core import (
     ValidationError,
     _as_float,
     _as_int,
-    _check_keys,
-    _require_mapping,
+    _from_kind_table,
 )
 
 __all__ = [
@@ -255,6 +254,7 @@ class ExplicitSchedule(EpsilonSchedule):
         return {"kind": "explicit", "values": list(self.values)}
 
 
+# kind -> (class, config keys, constructor fields).
 _SCHEDULE_KINDS = {
     "constant": (ConstantSchedule, ("epsilon",), ("value",)),
     "inverse_time": (InverseTimeSchedule, ("k",), ("k",)),
@@ -264,24 +264,7 @@ _SCHEDULE_KINDS = {
 
 def schedule_from_config(config: Mapping, path: str = "schedule") -> EpsilonSchedule:
     """Build a schedule from ``{"kind": ..., <params>}``."""
-    config = _require_mapping(config, path)
-    kind = config.get("kind")
-    if kind not in _SCHEDULE_KINDS:
-        raise ValidationError(
-            "unknown_kind",
-            f"{path}.kind must be one of {sorted(_SCHEDULE_KINDS)}, got {kind!r}",
-        )
-    cls, keys, fields = _SCHEDULE_KINDS[kind]
-    _check_keys(config, ("kind",) + keys, path)
-    kwargs = {}
-    for key, field_name in zip(keys, fields):
-        if key not in config:
-            raise ValidationError("bad_config", f"{path} is missing key {key!r}")
-        value = config[key]
-        if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-            value = tuple(value)
-        kwargs[field_name] = value
-    return cls(**kwargs)
+    return _from_kind_table(config, path, _SCHEDULE_KINDS)
 
 
 # ---------------------------------------------------------------------------

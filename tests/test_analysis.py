@@ -336,24 +336,34 @@ class TestOracleFrozenValues:
         floating = exact_selection_probability(instance, schedule, 6, method="float")
         for p, q in zip(exact.arm_probabilities, floating.arm_probabilities):
             assert abs(p - q) < 1e-12
+        # The doubles pin the float method's order of operations too.
+        assert floating.arm_probabilities == (0.6443619394070312, 0.3556380605929681)
 
+    # ``probabilities`` pairs the fraction law's roundings with the float
+    # method's doubles, which pin its order of operations too.
     @pytest.mark.parametrize(
         "policy, digest, probabilities",
         [
             (
                 POLICY_CONSTRAINED,
                 "502c1afc43a94bd427d784f573f8d3d070db3468c6b2f0211f6f246aebf95b88",
-                (0.28193293733379116, 0.58557049202149, 0.1324965706447188),
+                (
+                    (0.28193293733379116, 0.58557049202149, 0.1324965706447188),
+                    (0.2819329373337908, 0.5855704920214903, 0.13249657064471881),
+                ),
             ),
             (
                 POLICY_UNIFORM,
                 "063054faa695cecd1e5e89bcdc8a37f6c48763dc3fe0d130282c26da00e196a2",
-                (1 / 3, 1 / 3, 1 / 3),
+                ((1 / 3, 1 / 3, 1 / 3), (1 / 3, 1 / 3, 1 / 3)),
             ),
             (
                 POLICY_UNCONSTRAINED,
                 "70ee7d5a96551348c39d6cb212cb9de4d4ba723b3e4cfeb66bd859603154c0d2",
-                (0.15108647710824472, 0.37293295013434064, 0.4759805727574146),
+                (
+                    (0.15108647710824472, 0.37293295013434064, 0.4759805727574146),
+                    (0.1510864771082447, 0.37293295013434047, 0.47598057275741446),
+                ),
             ),
         ],
     )
@@ -362,13 +372,14 @@ class TestOracleFrozenValues:
         instance, schedule = lattice_instance(), InverseTimeSchedule(2.37)
         exact = exact_selection_probability(instance, schedule, 6, **kwargs)
         assert law_digest(exact.arm_probabilities_exact) == digest
-        assert exact.arm_probabilities == probabilities
+        assert exact.arm_probabilities == probabilities[0]
         assert exact.nodes == 462
         floating = exact_selection_probability(
             instance, schedule, 6, method="float", **kwargs
         )
         for p, q in zip(exact.arm_probabilities, floating.arm_probabilities):
             assert abs(p - q) < 1e-12
+        assert floating.arm_probabilities == probabilities[1]
 
     def test_delta_events_accumulate_best_arms(self):
         inst = three_arm_instance()

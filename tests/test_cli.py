@@ -376,6 +376,14 @@ class TestOracle:
         assert code == 2
         assert "oracle_horizon" in capsys.readouterr().err
 
+    def test_scalar_deltas_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, ORACLE_CONFIG + "experiment: {deltas: 0.1}\n")
+        code = main(["oracle", "--config", config_path, "--t", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error [bad_config]" in err
+        assert "experiment.deltas must be a list" in err
+
 
 class TestValidate:
     def test_valid_config_reports_profile(self, tmp_path, capsys):
@@ -459,6 +467,16 @@ class TestValidate:
         assert code == 2
         out = capsys.readouterr().out
         assert "violation [bad_config]" in out
+        assert out.splitlines()[-1] == "invalid: 1 violation(s)"
+
+    def test_scalar_deltas_is_violation(self, tmp_path, capsys):
+        # No checkpoints, so no ExperimentConfig is built: the deltas must
+        # be checked while parsing the sections.
+        config_path = write_config(tmp_path, ORACLE_CONFIG + "experiment: {deltas: 0.1}\n")
+        code = main(["validate", "--config", config_path])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "violation [bad_config]: experiment.deltas must be a list" in out
         assert out.splitlines()[-1] == "invalid: 1 violation(s)"
 
     def test_config_without_experiment_section_notes_incomplete(self, tmp_path, capsys):

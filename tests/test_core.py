@@ -126,21 +126,26 @@ def test_law_of_large_numbers(dist, mean, variance):
 
 
 def test_exact_support_law_sums_to_one():
+    def law(dist, exact=False):
+        return tuple(p for _, p in dist.atoms(exact))
+
     # 1.0 - 0.3 rounds, so the float complement is not the law of quantile(U).
-    assert Bernoulli(0.3).support_probabilities(exact=True) == (
-        1 - Fraction(0.3), Fraction(0.3))
-    assert sum(Bernoulli(0.3).support_probabilities(exact=True)) == 1
-    assert Bernoulli(0.3).support_probabilities() == (1.0 - 0.3, 0.3)
+    assert law(Bernoulli(0.3), exact=True) == (1 - Fraction(0.3), Fraction(0.3))
+    assert sum(law(Bernoulli(0.3), exact=True)) == 1
+    assert Bernoulli(0.3).atoms() == ((0.0, 1.0 - 0.3), (1.0, 0.3))
     dist = Discrete((0.0, 1.0), (0.3, 0.7))
-    assert dist.support_probabilities(exact=True) == (Fraction(0.3), 1 - Fraction(0.3))
-    assert dist.support_probabilities() == (0.3, 0.7)
-    assert sum(Fraction(p) for p in dist.support_probabilities()) != 1
+    assert law(dist, exact=True) == (Fraction(0.3), 1 - Fraction(0.3))
+    assert dist.atoms() == ((0.0, 0.3), (1.0, 0.7))
+    assert sum(Fraction(p) for p in law(dist)) != 1
     # Atoms are the cells of quantile: [0, _cum[0]), [_cum[0], _cum[1]), ...
     dist = Discrete((0.0, 0.5, 1.0), (0.1, 0.2, 0.7))
-    law = dist.support_probabilities(exact=True)
-    assert sum(law) == 1
-    assert law[1] == Fraction(0.1 + 0.2) - Fraction(0.1)
-    assert PointMass(0.4).support_probabilities(exact=True) == (1,)
+    exact = law(dist, exact=True)
+    assert sum(exact) == 1
+    assert exact[1] == Fraction(0.1 + 0.2) - Fraction(0.1)
+    assert PointMass(0.4).atoms(exact=True) == ((0.4, 1),)
+    with pytest.raises(ValidationError) as err:
+        Beta(2.0, 3.0).atoms()
+    assert err.value.code == "continuous_support"
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 from cbandits.core import (
     Arm,
@@ -591,6 +592,12 @@ class TestConfigValidation:
             **{**good, "checkpoints": np.array([1, 2]), "replications": np.int64(4)}
         )
         assert config.checkpoints == (1, 2) and type(config.replications) is int
+
+    def test_numpy_master_seed_is_stored_as_int(self):
+        config = base_config(master_seed=np.uint64(7))
+        assert type(config.master_seed) is int and config.master_seed == 7
+        echo = yaml.safe_load(yaml.safe_dump(config.to_config()))
+        assert echo["experiment"]["master_seed"] == 7
 
     def test_run_trial_validates_index(self):
         with pytest.raises(ValidationError):
