@@ -230,10 +230,10 @@ def _forward_pass(tables, eps, level, policy, tie_rule, num, max_nodes):
     for step, eps_t in enumerate(eps, 1):
         check_budget(len(layer))
         nodes += len(layer)
-        greedy_mass = one - eps_t
+        explore, greedy_mass = eps_t * uniform, one - eps_t
         children = {}
         for (counts, reward_sums, cost_sums), prob in layer.items():
-            law = [eps_t * uniform] * n
+            law = [explore] * n
             ties = greedy_ties(counts, reward_sums, cost_sums, level, policy, tie_rule)
             if not ties:
                 ties, share = range(n), greedy_mass * uniform

@@ -343,7 +343,6 @@ class Beta(Distribution):
         return {"kind": "beta", "shape1": self.shape1, "shape2": self.shape2}
 
 
-# kind -> (class, config keys, constructor fields), the keys in field order.
 _DISTRIBUTION_KINDS = {
     cls.kind: (cls, keys, keys)
     for cls, keys in (

@@ -254,7 +254,6 @@ class ExplicitSchedule(EpsilonSchedule):
         return {"kind": "explicit", "values": list(self.values)}
 
 
-# kind -> (class, config keys, constructor fields).
 _SCHEDULE_KINDS = {
     "constant": (ConstantSchedule, ("epsilon",), ("value",)),
     "inverse_time": (InverseTimeSchedule, ("k",), ("k",)),

@@ -143,9 +143,6 @@ def test_exact_support_law_sums_to_one():
     assert sum(exact) == 1
     assert exact[1] == Fraction(0.1 + 0.2) - Fraction(0.1)
     assert PointMass(0.4).atoms(exact=True) == ((0.4, 1),)
-    with pytest.raises(ValidationError) as err:
-        Beta(2.0, 3.0).atoms()
-    assert err.value.code == "continuous_support"
 
 
 # ---------------------------------------------------------------------------
