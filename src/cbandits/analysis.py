@@ -5,17 +5,21 @@ The enumeration oracle pushes probability mass forward one step at a
 time over the strategy's sufficient statistics, the per-arm (count,
 reward sum, cost sum).  Every branch/outcome path that reaches the same
 statistics is merged into one state.  The pass is one function over the
-arms' atom tables (:meth:`cbandits.core.Distribution.atoms`), run in one
-number type: ``Fraction`` for the exact law (the default) or ``float``
-for the simulator's doubles.  At each state it applies the same greedy
-rule as the simulator (:func:`cbandits.strategies.greedy_ties`), for the
-configured policy and tie rule.  It exists to pin down ground truth for
-short horizons; the Monte Carlo harness is validated against it.
+arms' atom tables (:meth:`cbandits.core.Distribution.atoms`).  For the
+exact law (the default) it runs on Python ints: the sums are integer
+multiples of one value unit, and the masses integer numerators over one
+denominator per layer, divided out once at the end.  For the
+simulator's law it runs on its doubles.  At each state it applies the
+same greedy rule as the simulator
+(:func:`cbandits.strategies.greedy_ties`), for the configured policy and
+tie rule.  It exists to pin down ground truth for short horizons; the
+Monte Carlo harness is validated against it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -204,20 +208,20 @@ class OracleResult:
         return out
 
 
-def _forward_pass(tables, eps, level, policy, tie_rule, num, max_nodes):
-    """Law of the arm selected at the last step, and the states expanded.
+def _forward_pass(tables, steps, level, scale, policy, tie_rule, max_nodes):
+    """Selection mass of each arm at the last step, and the states expanded.
 
-    ``tables[a]`` holds arm ``a``'s reward and cost atoms as ``num``
-    pairs, and ``eps`` the exploration probability of each step.  Each
-    layer maps a state ``(counts, reward_sums, cost_sums)``, with the sums
-    kept exactly as the simulator accumulates them, to its probability
-    mass.  Paths that reach the same state are merged, so each state's
-    selection law is computed once.
+    ``tables[a]`` holds arm ``a``'s reward and cost atoms as (value, mass)
+    pairs.  ``steps[s]`` is step ``s + 1``'s ``(explore, shares)``: every
+    arm gets ``explore``, each of ``j`` greedy ties ``shares[j]`` more, and
+    every arm ``shares[0]`` more when there is no greedy candidate.  Each layer
+    maps a state, one ``(count, reward_sum, cost_sum)`` triple per arm, to
+    its mass.  Paths that reach the same state are merged, so each state's
+    selection law is computed once, by
+    :func:`~cbandits.strategies.greedy_ties` with ``level`` and ``scale``.
     """
     n = len(tables)
-    zero, one = num(0), num(1)
-    uniform = one / n
-    arm_mass = [zero] * n
+    arm_mass = [0] * n
     nodes = 0
 
     def check_budget(pending):
@@ -226,24 +230,19 @@ def _forward_pass(tables, eps, level, policy, tie_rule, num, max_nodes):
                 "oracle_tree_too_large", f"enumeration exceeded {max_nodes} states"
             )
 
-    layer = {((0,) * n, (zero,) * n, (zero,) * n): one}
-    for step, eps_t in enumerate(eps, 1):
+    layer = {((0, 0, 0),) * n: 1}
+    for step, (explore, shares) in enumerate(steps, 1):
         check_budget(len(layer))
         nodes += len(layer)
-        explore, greedy_mass = eps_t * uniform, one - eps_t
         children = {}
-        for (counts, reward_sums, cost_sums), prob in layer.items():
+        for state, prob in layer.items():
             law = [explore] * n
-            ties = greedy_ties(counts, reward_sums, cost_sums, level, policy, tie_rule)
-            if not ties:
-                ties, share = range(n), greedy_mass * uniform
-            elif len(ties) == 1:
-                share = greedy_mass
-            else:
-                share = greedy_mass / len(ties)
-            for a in ties:
+            counts, reward_sums, cost_sums = zip(*state)
+            ties = greedy_ties(counts, reward_sums, cost_sums, level, policy, tie_rule, scale)
+            share = shares[len(ties)]
+            for a in ties or range(n):
                 law[a] = law[a] + share
-            if step == len(eps):
+            if step == len(steps):
                 for a in range(n):
                     arm_mass[a] = arm_mass[a] + prob * law[a]
                 continue
@@ -251,19 +250,68 @@ def _forward_pass(tables, eps, level, policy, tie_rule, num, max_nodes):
                 p_arm = prob * law[a]
                 if p_arm == 0:
                     continue
-                next_counts = counts[:a] + (counts[a] + 1,) + counts[a + 1 :]
+                count, reward_sum, cost_sum = state[a]
+                head, tail = state[:a], state[a + 1 :]
                 for x, px in rewards:
-                    next_rewards = reward_sums[:a] + (reward_sums[a] + x,) + reward_sums[a + 1 :]
                     p_reward = p_arm * px
                     for y, py in costs:
-                        next_costs = cost_sums[:a] + (cost_sums[a] + y,) + cost_sums[a + 1 :]
-                        key = (next_counts, next_rewards, next_costs)
-                        children[key] = children.get(key, zero) + p_reward * py
+                        key = head + ((count + 1, reward_sum + x, cost_sum + y),) + tail
+                        children[key] = children.get(key, 0) + p_reward * py
             # Checked while the layer grows, so memory stays within the
             # budget too.
             check_budget(len(children))
         layer = children
     return arm_mass, nodes
+
+
+def _float_steps(eps, n):
+    """Each step's ``(explore, shares)`` in the simulator's doubles."""
+    uniform = 1.0 / n
+    steps = []
+    for eps_t in eps:
+        greedy_mass = 1.0 - eps_t
+        shares = [greedy_mass * uniform] + [greedy_mass / j for j in range(1, n + 1)]
+        steps.append((eps_t * uniform, shares))
+    return steps
+
+
+def _integer_inputs(tables, eps, level):
+    """The fraction method's inputs as integers, and the law's denominator.
+
+    Atom values and the level become integer multiples of 1/V, with V the
+    lcm of their denominators (a power of two: they are doubles), so ``cost_sum <= level * count`` is exact on the integers.
+    Masses become integer numerators over one denominator per layer: step
+    ``s`` multiplies it by ``Q_s = eps_s.denominator * lcm(1..n)``, which
+    makes every share an integer, and, unless it is the last step, by the
+    reward and cost probability scales (the lcm of the atoms' probability
+    denominators).  The greedy rule compares means through ``scale``, a
+    common multiple of every count.  Returns ``(tables, steps, level,
+    scale, denominator)``.
+    """
+    n = len(tables)
+    values = [v for arm in tables for part in arm for v, _ in part]
+    value_scale = math.lcm(level.denominator, *(v.denominator for v in values))
+    prob_scales = [
+        math.lcm(*(p.denominator for arm in tables for _, p in arm[part]))
+        for part in (0, 1)
+    ]
+    int_tables = [
+        tuple(
+            [(int(v * value_scale), int(p * prob_scale)) for v, p in part]
+            for part, prob_scale in zip(arm, prob_scales)
+        )
+        for arm in tables
+    ]
+    ties_lcm = math.lcm(*range(1, n + 1))
+    steps = []
+    denominator = (prob_scales[0] * prob_scales[1]) ** (len(eps) - 1)
+    for eps_t in eps:
+        greedy_mass = eps_t.denominator - eps_t.numerator
+        shares = [greedy_mass * (ties_lcm // j) for j in range(1, n + 1)]
+        steps.append((eps_t.numerator * (ties_lcm // n), [shares[-1]] + shares))
+        denominator *= eps_t.denominator * ties_lcm
+    scale = math.lcm(*range(1, len(eps) + 1))
+    return int_tables, steps, int(level * value_scale), scale, denominator
 
 
 def _atom_tables(instance: ProblemInstance, num) -> list:
@@ -305,9 +353,10 @@ def exact_selection_probability(
     ``max_steps``.  The work grows with the number of distinct (counts,
     reward sums, cost sums) states at each step, and ``max_nodes`` caps
     the states expanded, summed over the steps.  ``method`` is
-    ``"fraction"`` (the default) for exact rational arithmetic, over the
-    exact law of each distribution's ``quantile(U)``, so the
-    probabilities sum to exactly 1; or ``"float"`` for double precision
+    ``"fraction"`` (the default) for the exact law of each distribution's
+    ``quantile(U)``, so the probabilities sum to exactly 1: the pass runs
+    on integer sums and integer mass numerators over one denominator per
+    layer, and returns the reduced fractions; or ``"float"`` for double precision
     mirroring the simulator's arithmetic exactly: the sums are the
     simulator's doubles, so its feasibility test ``cost_sum <= level *
     count`` decides as it does in the simulator, even where rounding
@@ -334,7 +383,13 @@ def exact_selection_probability(
     else:
         eps = [num(schedule.epsilon(n)) for n in range(1, t + 1)]
     level = num(instance.constraint_level)
-    mass, nodes = _forward_pass(tables, eps, level, policy, tie_rule, num, max_nodes)
+    if num is Fraction:
+        tables, steps, level, scale, denominator = _integer_inputs(tables, eps, level)
+    else:
+        steps, scale = _float_steps(eps, instance.num_arms), None
+    mass, nodes = _forward_pass(tables, steps, level, scale, policy, tie_rule, max_nodes)
+    if num is Fraction:
+        mass = [Fraction(m, denominator) for m in mass]
 
     events = []
     for d in deltas:

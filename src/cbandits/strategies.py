@@ -2,7 +2,7 @@
 
 The rule is written once, over plain per-arm statistics:
 :func:`greedy_ties` decides which arms the greedy branch may pick, in
-float or exact rational arithmetic, and :func:`choose_arm` turns a
+float or exact integer arithmetic, and :func:`choose_arm` turns a
 step's branch and arm uniforms into the selected arm.  The scalar
 reference trajectory (``harness.run_trial``) and the exact oracle
 (``analysis``) both call them.  A step consumes exactly
@@ -293,6 +293,7 @@ def greedy_ties(
     level,
     policy: str,
     tie_rule: str,
+    scale: int | None = None,
 ) -> list[int]:
     """Arms the greedy branch picks among, by its arm uniform.
 
@@ -302,15 +303,20 @@ def greedy_ties(
     empirical mean reward ``reward_sum / count``: all of them under the
     ``uniform`` tie rule, the lowest-indexed one under ``lowest_index``.
     It is empty when there is no candidate, and the greedy branch then
-    falls back to a uniform arm.  Sums and level may be floats, which
-    gives the simulator's arithmetic, or Fractions, which gives the
-    mathematical rule.
+    falls back to a uniform arm.  Float sums and level give the
+    simulator's arithmetic.  Integer sums and level, all multiples of one
+    value unit, give the mathematical rule when ``scale`` is a common
+    multiple of the counts: the means are then compared as the integers
+    ``reward_sum * (scale // count)``, in proportion to the exact means.
     """
     best = None
     ties = []
     for a, count in enumerate(counts):
         if count > 0 and (policy != POLICY_CONSTRAINED or cost_sums[a] <= level * count):
-            mean = reward_sums[a] / count
+            if scale is None:
+                mean = reward_sums[a] / count
+            else:
+                mean = reward_sums[a] * (scale // count)
             if best is None or mean > best:
                 best, ties = mean, [a]
             elif mean == best:

@@ -86,6 +86,20 @@ def lattice_instance() -> ProblemInstance:
     )
 
 
+def five_arm_instance() -> ProblemInstance:
+    # Ties among up to five arms, so the greedy shares run over lcm(1..5).
+    return ProblemInstance(
+        arms=(
+            Arm(Bernoulli(0.5), PointMass(0.25)),
+            Arm(Discrete((0.0, 1.0), (0.5, 0.5)), Bernoulli(0.25)),
+            Arm(PointMass(0.5), PointMass(0.5)),
+            Arm(Discrete((0.25, 0.75), (0.5, 0.5)), Discrete((0.0, 0.5), (0.5, 0.5))),
+            Arm(Bernoulli(0.5), PointMass(0.9)),
+        ),
+        constraint_level=0.5,
+    )
+
+
 def law_digest(law) -> str:
     text = ",".join(f"{p.numerator}/{p.denominator}" for p in law)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
@@ -380,6 +394,62 @@ class TestOracleFrozenValues:
         for p, q in zip(exact.arm_probabilities, floating.arm_probabilities):
             assert abs(p - q) < 1e-12
         assert floating.arm_probabilities == probabilities[1]
+
+    # Longer horizons and wider ties, frozen from the Fraction-keyed pass:
+    # the integer pass's value, probability and tie scales compound here.
+    @pytest.mark.parametrize(
+        "instance, schedule, t, kwargs, digest, nodes, probabilities",
+        [
+            (
+                bernoulli_instance(),
+                InverseTimeSchedule(3.0),
+                10,
+                {},
+                "7a250596eab29d8fb22f00fca22c102cbd2aee66c6472de689460af7b014446c",
+                12_727,
+                (
+                    (0.7523914823658027, 0.2476085176341973),
+                    (0.7523914823658063, 0.2476085176341967),
+                ),
+            ),
+            (
+                five_arm_instance(),
+                InverseTimeSchedule(2.5),
+                5,
+                {"tie_rule": TIE_UNIFORM},
+                "3630f43eec22ca86e40a0047bef5a866972b26cfd8dc00406f843a1a785ef862",
+                2_171,
+                (
+                    (
+                        0.23502224283854167,
+                        0.201926962890625,
+                        0.23310044921875,
+                        0.22936347005208332,
+                        0.100586875,
+                    ),
+                    (
+                        0.2350222428385418,
+                        0.20192696289062478,
+                        0.23310044921875003,
+                        0.2293634700520828,
+                        0.10058687499999992,
+                    ),
+                ),
+            ),
+        ],
+        ids=["row_b_t10", "five_arm"],
+    )
+    def test_compounded_scales_law_is_frozen(
+        self, instance, schedule, t, kwargs, digest, nodes, probabilities
+    ):
+        kwargs = dict(kwargs, max_steps=t)
+        exact = exact_selection_probability(instance, schedule, t, **kwargs)
+        assert law_digest(exact.arm_probabilities_exact) == digest
+        assert exact.nodes == nodes
+        assert exact.arm_probabilities == probabilities[0]
+        floating = exact_selection_probability(instance, schedule, t, method="float", **kwargs)
+        assert floating.arm_probabilities == probabilities[1]
+        assert floating.nodes == nodes
 
     def test_delta_events_accumulate_best_arms(self):
         inst = three_arm_instance()

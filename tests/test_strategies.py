@@ -228,6 +228,15 @@ def test_greedy_ties_in_exact_arithmetic():
     assert greedy_ties([2, 2], exact, zero, half, POLICY_CONSTRAINED, TIE_LOWEST_INDEX) == [0]
 
 
+def test_greedy_ties_on_integer_keys():
+    # Means 3/2 and 4/3: floor division would tie them; the exact keys
+    # 3 * (6 // 2) = 9 and 4 * (6 // 3) = 8 do not.
+    assert greedy_ties([2, 3], [3, 4], [0, 0], 1, POLICY_CONSTRAINED, TIE_UNIFORM, 6) == [0]
+    # Equal means 1 and 1 tie; the level test is on the integers too.
+    assert greedy_ties([2, 3], [2, 3], [2, 3], 1, POLICY_CONSTRAINED, TIE_UNIFORM, 6) == [0, 1]
+    assert greedy_ties([2, 3], [2, 3], [2, 4], 1, POLICY_CONSTRAINED, TIE_UNIFORM, 6) == [0]
+
+
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
