@@ -26,6 +26,7 @@ from cbandits.bounds import (
     selection_lower_bound,
 )
 from cbandits.core import (
+    Beta,
     ValidationError,
     _check_keys,
     _require_mapping,
@@ -197,12 +198,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     results_path = os.path.join(args.out_dir, output["results_csv"])
     summary_path = os.path.join(args.out_dir, output["summary_json"])
+    metadata = {"elapsed_seconds": elapsed, "workers": args.workers}
+    if any(isinstance(d, Beta) for arm in config.instance.arms for d in (arm.reward, arm.cost)):
+        # Beta variates are scipy's betaincinv, whose last bits follow
+        # the scipy build; finite-support variates follow no library.
+        import scipy
+
+        metadata["scipy_version"] = scipy.__version__
     write_results_csv(results_path, result.estimates)
-    write_summary_json(
-        summary_path,
-        result,
-        metadata={"elapsed_seconds": elapsed, "workers": args.workers},
-    )
+    write_summary_json(summary_path, result, metadata=metadata)
     print(f"wrote {results_path} and {summary_path}", file=sys.stderr)
     return 0
 

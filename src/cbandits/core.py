@@ -5,13 +5,15 @@ Every distribution here has support inside the unit interval and a
 closed-form mean and variance.  Sampling is inverse-transform only: a
 draw is ``quantile(u)`` of exactly one uniform from the replication's
 stream, which keeps trajectories replayable and makes the vectorized
-kernel and the scalar reference produce bit-identical results.
+kernel and the scalar reference produce bit-identical results.  scipy is
+imported only when a beta variate is first drawn (:func:`_betaincinv`).
 :func:`step_uniforms` is the only place that maps a (step, replication)
 pair to its uniforms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from abc import ABC, abstractmethod
@@ -21,7 +23,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import betaincinv
 
 __all__ = [
     "ValidationError",
@@ -54,6 +55,8 @@ _MAX_SEED = 2**64
 ArrayLike = Union[float, np.ndarray]
 # (value, probability) pairs; the probability is a Fraction in exact mode.
 Atoms = tuple[tuple[float, Union[float, Fraction]], ...]
+# (cuts, values): quantile(u) is values[number of cuts <= u].
+QuantileTable = tuple[tuple[float, ...], tuple[float, ...]]
 
 
 class ValidationError(ValueError):
@@ -107,8 +110,9 @@ class Distribution(ABC):
     Subclasses expose exact first and second moments and an inverse CDF
     (``quantile``).  A variate is ``quantile(u)`` of one uniform ``u``,
     whatever the distribution kind.  Finite-support kinds also list their
-    ``atoms``, the table the enumeration oracle reads; a continuous kind
-    inherits the ``continuous_support`` error.
+    ``atoms``, the table the enumeration oracle reads, and their
+    ``quantile_table``, the one the lockstep kernel gathers from; a
+    continuous kind inherits the ``continuous_support`` error for both.
     """
 
     kind: str = "abstract"
@@ -144,7 +148,18 @@ class Distribution(ABC):
         to exactly 1; otherwise they are the stored parameters as floats.
         A continuous distribution raises ``continuous_support``.
         """
-        raise ValidationError(
+        raise self._continuous_support()
+
+    def quantile_table(self) -> QuantileTable:
+        """``(cuts, values)`` of a finite-support distribution, with
+        ``quantile(u) == values[number of cuts <= u]`` bit for bit: the
+        cuts are nondecreasing and ``values`` has one more entry.  A
+        continuous distribution raises ``continuous_support``.
+        """
+        raise self._continuous_support()
+
+    def _continuous_support(self) -> ValidationError:
+        return ValidationError(
             "continuous_support",
             f"{self.kind} distribution has continuous support",
         )
@@ -181,6 +196,9 @@ class PointMass(Distribution):
     def atoms(self, exact: bool = False) -> Atoms:
         return ((self.value, Fraction(1) if exact else 1.0),)
 
+    def quantile_table(self) -> QuantileTable:
+        return ((), (self.value,))
+
     def to_config(self) -> dict:
         return {"kind": "point_mass", "value": self.value}
 
@@ -215,6 +233,9 @@ class Bernoulli(Distribution):
     def atoms(self, exact: bool = False) -> Atoms:
         p = Fraction(self.p) if exact else self.p
         return ((0.0, 1 - p), (1.0, p))
+
+    def quantile_table(self) -> QuantileTable:
+        return ((self.p,), (1.0, 0.0))
 
     def to_config(self) -> dict:
         return {"kind": "bernoulli", "p": self.p}
@@ -298,6 +319,9 @@ class Discrete(Distribution):
             probs = tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
         return tuple(zip(self.values, probs))
 
+    def quantile_table(self) -> QuantileTable:
+        return (tuple(self._cum[:-1].tolist()), self.values)
+
     def to_config(self) -> dict:
         return {
             "kind": "discrete",
@@ -308,7 +332,15 @@ class Discrete(Distribution):
 
 @dataclass(frozen=True)
 class Beta(Distribution):
-    """Beta distribution on (0, 1) with positive shape parameters."""
+    """Beta distribution on (0, 1) with positive shape parameters.
+
+    ``quantile`` is scipy's ``betaincinv``, which is not correctly
+    rounded, so the last bits of a beta variate can change with the scipy
+    build.  Runs whose arms all have finite support give the same bits on
+    every machine; runs with a beta arm give them only under the same
+    scipy build, and ``cbandits run`` records its version in
+    ``summary.json`` ``metadata``.
+    """
 
     shape1: float
     shape2: float
@@ -334,13 +366,22 @@ class Beta(Distribution):
         return a * b / ((a + b) ** 2 * (a + b + 1.0))
 
     def quantile(self, u: ArrayLike) -> ArrayLike:
-        out = betaincinv(self.shape1, self.shape2, u)
+        out = _betaincinv()(self.shape1, self.shape2, u)
         if isinstance(u, float):
             return float(out)
         return out
 
     def to_config(self) -> dict:
         return {"kind": "beta", "shape1": self.shape1, "shape2": self.shape2}
+
+
+@functools.cache
+def _betaincinv():
+    """scipy's ``betaincinv``, imported on first use: only beta arms need
+    scipy, and importing it takes about half of ``import cbandits.cli``."""
+    from scipy.special import betaincinv
+
+    return betaincinv
 
 
 _DISTRIBUTION_KINDS = {

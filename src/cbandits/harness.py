@@ -12,10 +12,14 @@ close: the kernel applies the same per-element operations to the same
 operands, picks among the arms equal to the maximum in index order, so
 that the lowest-index rule takes the first maximum as the scalar rule
 does, and updates every arm's sums by a one-hot product, which leaves
-the arms not pulled unchanged because x + 0.0 == x.  The draws of step
-t in replication r depend only on (master_seed, t, r), which makes
-results independent of scheduling, worker count and chunk layout, and
-leaves the estimate at a checkpoint unchanged when a later one is added.
+the arms not pulled unchanged because x + 0.0 == x.  The kernel samples
+each quantity of a step in one gather: ``u < p[arm]`` when every arm is
+Bernoulli, otherwise a lookup in one padded table of the arms' quantile
+tables, plus one ``betaincinv`` call over the replications that pulled a
+beta arm.  The draws of step t in replication r depend only on
+(master_seed, t, r), which makes results independent of scheduling,
+worker count and chunk layout, and leaves the estimate at a checkpoint
+unchanged when a later one is added.
 """
 
 from __future__ import annotations
@@ -37,10 +41,12 @@ from cbandits.analysis import (
 from cbandits.bounds import selection_lower_bound
 from cbandits.core import (
     Bernoulli,
+    Beta,
     ProblemInstance,
     ValidationError,
     _as_float,
     _as_int,
+    _betaincinv,
     experiment_key,
     step_uniforms,
 )
@@ -273,24 +279,42 @@ class ChunkResult:
 def _sampler(dists):
     """Sampler of one quantity (reward or cost) for a lockstep step.
 
-    ``sample(arm, hits, u)`` returns, per replication, the ``quantile``
-    of its pulled arm's distribution at ``u``, bit for bit; ``hits`` is
-    the one-hot (arm, replication) mask of the pulls.  When every arm's
-    distribution is Bernoulli the variates are gathered from the arms'
-    success probabilities; otherwise each pulled arm's ``quantile`` is
-    called on its replications.
+    ``sample(arm, u)`` returns, per replication, the ``quantile`` of its
+    pulled arm's distribution at ``u``, bit for bit.  When every arm is
+    Bernoulli the variates are ``u < p[arm]``.  Otherwise the arms'
+    ``quantile_table``s are padded into one (cut, arm) and one (value,
+    arm) table, with +inf cuts that no ``u`` reaches: a replication's
+    variate is the value at the number of its arm's cuts at most ``u``.
+    The replications that pulled a beta arm then get one ``betaincinv``
+    call over their arms' shapes, the function ``Beta.quantile`` calls.
     """
     if all(isinstance(d, Bernoulli) for d in dists):
         p = np.array([d.p for d in dists])
         # Bernoulli.quantile: U < p, as a double.
-        return lambda arm, hits, u: (u < p[arm]).astype(np.float64)
-    quantiles = [d.quantile for d in dists]
+        return lambda arm, u: (u < p[arm]).astype(np.float64)
+    is_beta = np.array([isinstance(d, Beta) for d in dists])
+    tables = [((), (0.0,)) if beta else d.quantile_table() for d, beta in zip(dists, is_beta)]
+    n_cuts = max(len(cuts) for cuts, _ in tables)
+    cut_table = np.full((n_cuts, len(dists)), np.inf)
+    value_table = np.zeros((n_cuts + 1, len(dists)))
+    for a, (cuts, values) in enumerate(tables):
+        cut_table[: len(cuts), a] = cuts
+        value_table[: len(values), a] = values
+    shape1, shape2 = np.array(
+        [(d.shape1, d.shape2) if beta else (1.0, 1.0) for d, beta in zip(dists, is_beta)]
+    ).T
+    betaincinv = _betaincinv() if is_beta.any() else None
 
-    def sample(arm, hits, u):
-        out = np.empty(len(u))
-        for a in np.flatnonzero(hits.any(axis=1)):
-            mask = hits[a]
-            out[mask] = quantiles[a](u[mask])
+    def sample(arm, u):
+        index = np.zeros(len(u), dtype=np.int64)
+        for cuts in cut_table:
+            index += u >= cuts[arm]
+        out = value_table[index, arm]
+        if betaincinv is not None:
+            rows = np.flatnonzero(is_beta[arm])
+            if rows.size:
+                pulled = arm[rows]
+                out[rows] = betaincinv(shape1[pulled], shape2[pulled], u[rows])
         return out
 
     return sample
@@ -392,8 +416,8 @@ def run_chunk(
             arm = np.where(take_random, random_pick, greedy)
 
         hits = arm == arm_ids
-        rewards = sample_reward(arm, hits, u_reward)
-        costs = sample_cost(arm, hits, u_cost)
+        rewards = sample_reward(arm, u_reward)
+        costs = sample_cost(arm, u_cost)
 
         counts += hits
         reward_sums += hits * rewards

@@ -4,6 +4,7 @@ oracle / validate subcommands."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -51,6 +52,74 @@ schedule:
   kind: constant
   epsilon: 0.5
 """
+
+
+# Bernoulli, discrete and point-mass arms in both quantities.  Arm 0 has
+# the best reward but is infeasible; arm 1's rewards share the lattice
+# {0, 0.5, 1} with arm 2's point mass, so the tie rules have real ties;
+# arm 1's 0.25 atom has probability zero, which repeats a cut.
+GOLDEN_CONFIG = """\
+instance:
+  constraint_level: 0.5
+  arms:
+    - reward: {kind: bernoulli, p: 0.7}
+      cost: {kind: discrete, values: [0.4, 0.8], probabilities: [0.5, 0.5]}
+    - reward: {kind: discrete, values: [0.0, 0.25, 0.5, 1.0], probabilities: [0.2, 0.0, 0.3, 0.5]}
+      cost: {kind: point_mass, value: 0.45}
+    - reward: {kind: point_mass, value: 0.5}
+      cost: {kind: bernoulli, p: 0.3}
+schedule: {kind: inverse_time, k: 5}
+strategy: {kind: %s, tie_rule: %s}
+experiment:
+  checkpoints: [10, 50, 200]
+  deltas: [0.0, 0.1]
+  replications: 200
+  master_seed: 2024
+"""
+
+# (policy, tie_rule): SHA-256 of results.csv and of summary.json without
+# its metadata, as json.dumps(..., indent=2, sort_keys=True).
+GOLDEN_DIGESTS = {
+    ("constrained_eps_greedy", "lowest_index"): (
+        "095c56a3f0680a12a3669e63010460cfd7fe4ba5acbfc865589c1b5e99a0b223",
+        "24ccac81d728274421134f6868072817d0eca7c4a4e2425f8d8f0e3bdbd2dab6",
+    ),
+    ("constrained_eps_greedy", "uniform"): (
+        "ca48b6f4980a8a867f3a1e5c7cdb23ed3e2ed109f7c6d89c59bcc22c07b75a5d",
+        "059a657864cf79cda2e8cab48b588442d4b459b4d21626ab1c3cb5d38353334a",
+    ),
+    ("uniform", "lowest_index"): (
+        "4491039fc4b5bf1b72c5bdc7564ef7f9db68e4b012b971e59296ec80111cdbf1",
+        "f7317732b5d38e5ece502a0fcb28ef5d97df541a716bdb236e858c5573a73f9a",
+    ),
+    ("uniform", "uniform"): (
+        "4491039fc4b5bf1b72c5bdc7564ef7f9db68e4b012b971e59296ec80111cdbf1",
+        "a5cb3660c5b07bebbb5f8c41a439a8b884880fb9cb7bd2354f6e89068313ff89",
+    ),
+    ("unconstrained_eps_greedy", "lowest_index"): (
+        "9f52b58227810a3308bfac484cd20fcc20fd3ad7fba4005d99235a84fa2f4594",
+        "2dff48c6f6a258845a0bab9f6215f2099bce82ae18363fadb703cdb24cadcc1d",
+    ),
+    ("unconstrained_eps_greedy", "uniform"): (
+        "0b69b40217234254c625adf7ea2c4ce0b6cdf4cfb41b7d96865fd43bc9555ec3",
+        "b351159725727bca81298a0a2a7feeed9a9b25cbe84df0f05bf14b469b274064",
+    ),
+}
+
+
+def golden_digests(tmp_path, policy, tie_rule):
+    """SHA-256 of ``results.csv`` and of ``summary.json`` outside
+    ``metadata`` for ``GOLDEN_CONFIG`` under one strategy."""
+    out_dir = tmp_path / f"{policy}-{tie_rule}"
+    out_dir.mkdir()
+    config_path = write_config(out_dir, GOLDEN_CONFIG % (policy, tie_rule))
+    assert main(["run", "--config", config_path, "--out-dir", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    summary.pop("metadata")
+    return (
+        hashlib.sha256((out_dir / "results.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(json.dumps(summary, indent=2, sort_keys=True).encode()).hexdigest(),
+    )
 
 
 def write_config(tmp_path, text, name="config.yaml"):
@@ -125,6 +194,25 @@ class TestRun:
             tmp_path / "w3" / "results.csv"
         ).read_bytes()
 
+    def test_scipy_version_recorded_only_for_beta_arms(self, tmp_path, capsys):
+        # Beta variates follow the scipy build; finite-support ones do not.
+        import scipy
+
+        beta_config = TWO_ARM_CONFIG.replace(
+            "reward: {kind: bernoulli, p: 0.5}", "reward: {kind: beta, shape1: 2, shape2: 3}"
+        )
+        assert beta_config != TWO_ARM_CONFIG
+        metadata = {}
+        for name, text in (("finite", TWO_ARM_CONFIG), ("beta", beta_config)):
+            config_path = write_config(tmp_path, text, f"{name}.yaml")
+            out_dir = tmp_path / name
+            assert main(["run", "--config", config_path, "--out-dir", str(out_dir)]) == 0
+            summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+            metadata[name] = summary["metadata"]
+        capsys.readouterr()
+        assert "scipy_version" not in metadata["finite"]
+        assert metadata["beta"]["scipy_version"] == scipy.__version__
+
     def test_flag_overrides_apply(self, tmp_path, capsys):
         config_path = write_config(tmp_path, TWO_ARM_CONFIG)
         code = main([
@@ -197,6 +285,16 @@ class TestRun:
                      "--out-dir", str(tmp_path / "o"), "--workers", "0"])
         assert code == 2
         assert "--workers" in capsys.readouterr().err
+
+
+class TestGoldenRun:
+    """A sampled end-to-end output, pinned: finite-support arms give the
+    same bits on every machine."""
+
+    @pytest.mark.parametrize(("policy", "tie_rule"), list(GOLDEN_DIGESTS))
+    def test_outputs_are_frozen(self, tmp_path, capsys, policy, tie_rule):
+        assert golden_digests(tmp_path, policy, tie_rule) == GOLDEN_DIGESTS[policy, tie_rule]
+
 
 
 class TestBound:

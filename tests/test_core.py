@@ -145,6 +145,36 @@ def test_exact_support_law_sums_to_one():
     assert PointMass(0.4).atoms(exact=True) == ((0.4, 1),)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        PointMass(0.3),
+        Bernoulli(0.25),
+        Bernoulli(0.0),
+        Bernoulli(1.0),
+        Discrete((0.0, 0.5, 1.0), (0.2, 0.3, 0.5)),
+        Discrete((0.0, 0.25, 1.0), (0.4, 0.0, 0.6)),
+        Discrete((0.0, 0.5, 1.0, 0.75), (0.6, 0.3, 0.1, 0.0)),
+    ],
+)
+def test_quantile_table_gives_quantile(dist):
+    cuts, values = dist.quantile_table()
+    assert len(values) == len(cuts) + 1
+    assert list(cuts) == sorted(cuts)
+    probes = [0.0, np.nextafter(1.0, 0.0), 0.5] + [float(c) for c in cuts]
+    for u in probes:
+        if 0.0 <= u < 1.0:
+            assert dist.quantile(u) == values[sum(c <= u for c in cuts)]
+
+
+def test_quantile_table_literals():
+    assert Bernoulli(0.25).quantile_table() == ((0.25,), (1.0, 0.0))
+    assert PointMass(0.3).quantile_table() == ((), (0.3,))
+    with pytest.raises(ValidationError) as err:
+        Beta(2.0, 3.0).quantile_table()
+    assert err.value.code == "continuous_support"
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

@@ -255,6 +255,66 @@ class TestKernelMatchesReference:
         assert any(o != first for o in others)
 
 
+
+def sampler_uniforms(dists, rng):
+    """0, the largest double below 1, every cut of the arms' tables and
+    its two neighbours inside [0, 1), and random uniforms."""
+    points = [0.0, np.nextafter(1.0, 0.0)]
+    for d in dists:
+        if not isinstance(d, Beta):
+            for cut in d.quantile_table()[0]:
+                points += [cut, np.nextafter(cut, 0.0), np.nextafter(cut, 1.0)]
+    points = np.array([u for u in points if 0.0 <= u < 1.0])
+    return np.concatenate([points, rng.random(64)])
+
+
+# Arm lists of one quantity: the Bernoulli gather, then the table path.
+SAMPLER_CASES = {
+    "all_bernoulli": [Bernoulli(0.0), Bernoulli(1.0), Bernoulli(0.3)],
+    "bernoulli_p_0_and_1": [Bernoulli(0.0), Bernoulli(1.0), PointMass(0.5)],
+    "point_masses": [PointMass(0.0), PointMass(1.0), PointMass(0.3)],
+    "zero_probability_atom": [
+        Discrete((0.0, 0.25, 0.5, 1.0), (0.2, 0.0, 0.3, 0.5)), Bernoulli(0.3),
+    ],
+    # Cumulative sums 1 + 1 ulp and 1 - 1 ulp: with a trailing zero atom
+    # the last cut lies above 1, or at the largest double below 1.
+    "cum_sum_above_one": [
+        Discrete((0.0, 0.5, 1.0, 0.75), (0.34, 0.56, 0.1, 0.0)), PointMass(0.2),
+    ],
+    "cum_sum_below_one": [
+        Discrete((0.0, 0.5, 1.0, 0.75), (0.6, 0.3, 0.1, 0.0)), Bernoulli(0.9),
+    ],
+    "mixed_rewards": [arm.reward for arm in mixed_instance().arms],
+    "mixed_costs": [arm.cost for arm in mixed_instance().arms],
+    "six_arm_rewards": [arm.reward for arm in six_arm_instance().arms],
+    "six_arm_costs": [arm.cost for arm in six_arm_instance().arms],
+    "tied_point_mass_costs": [arm.cost for arm in tied_point_mass_instance().arms],
+    "all_beta": [Beta(2.0, 3.0), Beta(0.5, 0.5), Beta(6.0, 1.5)],
+}
+
+
+class TestSamplerMatchesQuantile:
+    @pytest.mark.parametrize("name", list(SAMPLER_CASES))
+    def test_bitwise_against_scalar_quantile(self, name):
+        # Every arm pulled at every probe point, against one scalar
+        # quantile call each: for beta arms that is betaincinv on scalar
+        # shapes, against the sampler's per-replication shape arrays.
+        dists = SAMPLER_CASES[name]
+        u = sampler_uniforms(dists, np.random.default_rng(5))
+        arm = np.repeat(np.arange(len(dists)), len(u))
+        u = np.tile(u, len(dists))
+        got = harness._sampler(dists)(arm, u)
+        want = np.array([dists[a].quantile(float(x)) for a, x in zip(arm, u)])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_cut_at_largest_double_below_one_is_reached(self):
+        # The zero-probability last atom is drawn at u = nextafter(1, 0).
+        dists = SAMPLER_CASES["cum_sum_below_one"]
+        u = np.array([np.nextafter(1.0, 0.0), 0.95])
+        assert harness._sampler(dists)(np.zeros(2, dtype=np.int64), u).tolist() == [0.75, 1.0]
+
+
 class TestRunExperiment:
     def test_oracle_agreement_small_horizon(self):
         instance = separated_instance()
