@@ -17,7 +17,6 @@ from cbandits.strategies import (
     EpsilonSchedule,
     ExplicitSchedule,
     InverseTimeSchedule,
-    choose_arm,
     greedy_ties,
     schedule_from_config,
 )
@@ -35,7 +34,6 @@ from cbandits.analysis import (
 from cbandits.bounds import (
     BoundReport,
     ClosedFormReport,
-    bernstein_tail,
     closed_form_lower_bound,
     exploration_mass,
     selection_lower_bound,
@@ -44,9 +42,7 @@ from cbandits.harness import (
     ExperimentConfig,
     ExperimentResult,
     MonteCarloEstimate,
-    TrialRecord,
     run_experiment,
-    run_trial,
     wilson_interval,
 )
 

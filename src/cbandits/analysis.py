@@ -1,19 +1,19 @@
-"""Exact instance analysis: feasibility structure and short-horizon
-selection probabilities by exact enumeration.
+"""Exact instance analysis: feasibility structure and selection
+probabilities by exact enumeration.
 
 The enumeration oracle pushes probability mass forward one step at a
 time over the strategy's sufficient statistics, the per-arm (count,
 reward sum, cost sum).  Every branch/outcome path that reaches the same
-statistics is merged into one state.  The pass is one function over the
-arms' atom tables (:meth:`cbandits.core.Distribution.atoms`).  For the
-exact law (the default) it runs on Python ints: the sums are integer
-multiples of one value unit, and the masses integer numerators over one
-denominator per layer, divided out once at the end.  For the
+statistics is merged into one state, and a budget on the states
+expanded bounds the work and the memory.  The pass is one function over
+the arms' atom tables (:meth:`cbandits.core.Distribution.atoms`).  For
+the exact law (the default) it runs on Python ints: the sums are
+integer multiples of one value unit, and the masses integer numerators
+over one denominator per layer, divided out once at the end.  For the
 simulator's law it runs on its doubles.  At each state it applies the
-same greedy rule as the simulator
-(:func:`cbandits.strategies.greedy_ties`), for the configured policy and
-tie rule.  It exists to pin down ground truth for short horizons; the
-Monte Carlo harness is validated against it.
+greedy rule of :func:`cbandits.strategies.greedy_ties`, for the
+configured policy and tie rule.  The float law is the ground truth the
+Monte Carlo kernel (``harness.run_chunk``) is tested against.
 """
 
 from __future__ import annotations
@@ -45,11 +45,15 @@ __all__ = [
     "feasibility_profile",
     "OracleResult",
     "exact_selection_probability",
-    "ORACLE_MAX_STEPS",
+    "ORACLE_MAX_STATES",
     "BRUTEFORCE_MAX_ARMS",
 ]
 
-ORACLE_MAX_STEPS = 6
+# Default budget of states the oracle expands, summed over the steps.  On
+# acceptance row B (Bernoulli arms (0.7, 0.3) and (0.5, 0.7)) under
+# inverse-time k = 3, t = 15 needs 111,588 states, about 1 s on a 2-vCPU
+# x86-64 host, so a call that exceeds the budget fails within about 2 s.
+ORACLE_MAX_STATES = 150_000
 BRUTEFORCE_MAX_ARMS = 20
 
 
@@ -191,12 +195,6 @@ class OracleResult:
     arm_probabilities: tuple[float, ...]
     arm_probabilities_exact: tuple[Fraction, ...] | None
     delta_events: tuple[tuple[float, float], ...]
-
-    def event_probability(self, delta: float) -> float:
-        for d, p in self.delta_events:
-            if d == delta:
-                return p
-        raise KeyError(f"delta {delta} was not requested")
 
     def to_json_dict(self) -> dict:
         """Field values; exact rationals as "num/den", omitted when absent."""
@@ -341,20 +339,20 @@ def exact_selection_probability(
     tie_rule: str = TIE_LOWEST_INDEX,
     policy: str = POLICY_CONSTRAINED,
     method: str = "fraction",
-    max_steps: int = ORACLE_MAX_STEPS,
-    max_nodes: int = 2_000_000,
+    max_nodes: int = ORACLE_MAX_STATES,
 ) -> OracleResult:
     """Exact law of the arm selected at step ``t``, by exact enumeration.
 
     ``policy`` and ``tie_rule`` are the strategy's (config key
     ``strategy``); under the ``uniform`` policy every step is uniform.
     Requires every reward and cost distribution to have finite support
-    (:meth:`cbandits.core.Distribution.atoms`) and ``t`` at most
-    ``max_steps``.  The work grows with the number of distinct (counts,
-    reward sums, cost sums) states at each step, and ``max_nodes`` caps
-    the states expanded, summed over the steps.  ``method`` is
-    ``"fraction"`` (the default) for the exact law of each distribution's
-    ``quantile(U)``, so the probabilities sum to exactly 1: the pass runs
+    (:meth:`cbandits.core.Distribution.atoms`).  The work grows with the
+    number of distinct (counts, reward sums, cost sums) states at each
+    step, and ``max_nodes`` caps the states expanded, summed over the
+    steps; each step holds at least one state, so ``t`` above it fails
+    at once.  ``method`` is ``"fraction"`` (the default) for the exact
+    law of each distribution's ``quantile(U)``, so the probabilities sum
+    to exactly 1: the pass runs
     on integer sums and integer mass numerators over one denominator per
     layer, and returns the reduced fractions; or ``"float"`` for double precision
     mirroring the simulator's arithmetic exactly: the sums are the
@@ -369,10 +367,10 @@ def exact_selection_probability(
     if method not in ("fraction", "float"):
         raise ValidationError("bad_parameter", f"unknown oracle method {method!r}")
     t = _as_int(t, "bad_parameter", "t", 1)
-    if t > max_steps:
+    if t > max_nodes:
         raise ValidationError(
-            "oracle_horizon",
-            f"enumeration is capped at {max_steps} steps, got t={t}",
+            "oracle_tree_too_large",
+            f"enumeration of {t} steps exceeds the budget of {max_nodes} states",
         )
     num = Fraction if method == "fraction" else float
     tables = _atom_tables(instance, num)

@@ -35,7 +35,6 @@ __all__ = [
     "selection_lower_bound",
     "closed_form_exponents",
     "closed_form_lower_bound",
-    "bernstein_tail",
 ]
 
 VARIANT_RHO_SQUARED = "rho_squared"
@@ -49,22 +48,6 @@ def _safe_exp(exponent: float) -> float:
     if exponent > _EXP_OVERFLOW:
         return math.inf
     return math.exp(exponent)
-
-
-def bernstein_tail(h: float, sigma_sq: float) -> float:
-    """Upper tail exp(-(h^2/2) / (sigma_sq + h/2)) for a sum with variance
-    proxy sigma_sq deviating by at least h.
-
-    With sigma_sq = 2x and h = x this reduces to exp(-x/5), the count
-    factor of the selection bound.
-    """
-    h = _as_float(h, "bad_parameter", "h", 0.0)
-    sigma_sq = _as_float(sigma_sq, "bad_parameter", "sigma_sq", 0.0)
-    if h == 0.0 and sigma_sq == 0.0:
-        raise ValidationError(
-            "bad_parameter", "h and sigma_sq cannot both be zero"
-        )
-    return math.exp(-(h * h / 2.0) / (sigma_sq + h / 2.0))
 
 
 def exploration_mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:

@@ -4,8 +4,8 @@ one RNG addressing function, and the shared input validators.
 Every distribution here has support inside the unit interval and a
 closed-form mean and variance.  Sampling is inverse-transform only: a
 draw is ``quantile(u)`` of exactly one uniform from the replication's
-stream, which keeps trajectories replayable and makes the vectorized
-kernel and the scalar reference produce bit-identical results.  scipy is
+stream, which keeps trajectories replayable and makes each
+replication's draws the same in any chunk of the kernel.  scipy is
 imported only when a beta variate is first drawn (:func:`_betaincinv`).
 :func:`step_uniforms` is the only place that maps a (step, replication)
 pair to its uniforms.

@@ -2,24 +2,19 @@
 probability that the arm selected at each checkpoint is delta-best, and
 compare the estimate against the theoretical lower bound.
 
-Experiments run on a vectorized kernel (:func:`run_chunk`) that
+Experiments run on one vectorized kernel (:func:`run_chunk`) that
 advances a block of replications in lockstep, with its state stored
-arm-major.  :func:`run_trial` is its scalar reference: one replication,
-step by step, through the selection rule of the strategies module.
-Both read their uniforms from :func:`~cbandits.core.step_uniforms` in
-the same fixed order, and every float they compute is equal, not merely
-close: the kernel applies the same per-element operations to the same
-operands, picks among the arms equal to the maximum in index order, so
-that the lowest-index rule takes the first maximum as the scalar rule
-does, and updates every arm's sums by a one-hot product, which leaves
-the arms not pulled unchanged because x + 0.0 == x.  The kernel samples
-each quantity of a step in one gather: ``u < p[arm]`` when every arm is
-Bernoulli, otherwise a lookup in one padded table of the arms' quantile
-tables, plus one ``betaincinv`` call over the replications that pulled a
-beta arm.  The draws of step t in replication r depend only on
-(master_seed, t, r), which makes results independent of scheduling,
-worker count and chunk layout, and leaves the estimate at a checkpoint
-unchanged when a later one is added.
+arm-major.  Its ground truth is the exact oracle's float law
+(``analysis.exact_selection_probability(method="float")``), which
+follows the same doubles; the tests hold the kernel's arm frequencies
+against it.  The kernel samples each quantity of a step in one gather:
+``u < p[arm]`` when every arm is Bernoulli, otherwise a lookup in one
+padded table of the arms' quantile tables, plus one ``betaincinv`` call
+over the replications that pulled a beta arm.  The draws of step t in
+replication r depend only on (master_seed, t, r), read from
+:func:`~cbandits.core.step_uniforms`, which makes results independent of
+scheduling, worker count and chunk layout, and leaves the estimate at a
+checkpoint unchanged when a later one is added.
 """
 
 from __future__ import annotations
@@ -56,19 +51,16 @@ from cbandits.strategies import (
     TIE_LOWEST_INDEX,
     EpsilonSchedule,
     _check_strategy,
-    choose_arm,
 )
 
 __all__ = [
     "WILSON_Z",
     "RESULTS_CSV_COLUMNS",
     "ExperimentConfig",
-    "TrialRecord",
     "MonteCarloEstimate",
     "ChunkResult",
     "ExperimentResult",
     "wilson_interval",
-    "run_trial",
     "run_chunk",
     "run_experiment",
     "write_results_csv",
@@ -155,19 +147,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One trajectory's snapshot at a checkpoint: the arm selected AT
-    step t, the per-delta event indicators for that arm, and running
-    reward/cost totals through t."""
-
-    t: int
-    arm: int
-    events: tuple[bool, ...]
-    cumulative_reward: float
-    cumulative_cost: float
-
-
-@dataclass(frozen=True)
 class MonteCarloEstimate:
     """Estimated probability of the delta-best event at one checkpoint."""
 
@@ -215,49 +194,6 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
     return low, high
 
 
-def run_trial(config: ExperimentConfig, replication_index: int) -> tuple[TrialRecord, ...]:
-    """Scalar reference of :func:`run_chunk`: replication
-    ``replication_index`` step by step, reported at each checkpoint.
-
-    Deterministic in (master_seed, replication_index); independent of
-    any other replication and of the checkpoints after each record.
-    """
-    rep = _as_int(replication_index, "bad_parameter", "replication_index", 0)
-    instance = config.instance
-    stream = step_uniforms(config.master_seed, rep, rep + 1)
-    best_sets = [delta_best_arms(instance, d) for d in config.deltas]
-    wanted = set(config.checkpoints)
-    counts = [0] * instance.num_arms
-    reward_sums = [0.0] * instance.num_arms
-    cost_sums = [0.0] * instance.num_arms
-    acc_reward = acc_cost = 0.0
-    records = []
-    for t in range(1, config.horizon + 1):
-        u_branch, u_arm, u_reward, u_cost = next(stream)[0].tolist()
-        arm, _ = choose_arm(
-            counts, reward_sums, cost_sums, config.schedule.epsilon(t),
-            instance.constraint_level, config.policy, config.tie_rule, u_branch, u_arm,
-        )
-        reward = instance.arms[arm].reward.quantile(u_reward)
-        cost = instance.arms[arm].cost.quantile(u_cost)
-        counts[arm] += 1
-        reward_sums[arm] += reward
-        cost_sums[arm] += cost
-        acc_reward += reward
-        acc_cost += cost
-        if t in wanted:
-            records.append(
-                TrialRecord(
-                    t=t,
-                    arm=arm,
-                    events=tuple(arm in s for s in best_sets),
-                    cumulative_reward=acc_reward,
-                    cumulative_cost=acc_cost,
-                )
-            )
-    return tuple(records)
-
-
 @dataclass
 class ChunkResult:
     """Aggregates from one lockstep block of replications.
@@ -273,7 +209,6 @@ class ChunkResult:
     arm_hits: np.ndarray
     cum_rewards: np.ndarray
     cum_costs: np.ndarray
-    trajectory_arms: np.ndarray | None = None
 
 
 def _sampler(dists):
@@ -324,28 +259,28 @@ def run_chunk(
     config: ExperimentConfig,
     rep_lo: int,
     rep_hi: int,
-    keep_trajectories: bool = False,
 ) -> ChunkResult:
     """Advance replications [rep_lo, rep_hi) in lockstep.
 
-    Trajectories are bit-identical to :func:`run_trial`.  Each row of a
-    step's uniform block is exactly what trial r draws at that step, and
-    every float is the result of the same elementwise operation on the
-    same operands as in the scalar path:
+    Row r - rep_lo of step t's uniform block holds replication r's
+    (branch, arm, reward, cost) uniforms.  With ``u_branch < eps_t``, or
+    always under the ``uniform`` policy, the arm is ``floor(u_arm * n)``
+    over all n arms.  Otherwise it is the ``floor(u_arm * j)``-th of the
+    j arms :func:`~cbandits.strategies.greedy_ties` returns, or
+    ``floor(u_arm * n)`` when there are none.  Every float is the result
+    of the same elementwise operation on the same operands in each
+    replication, whatever the chunk:
 
     - state is arm-major, ``(arm, replication)``; counts are doubles,
       which hold integers exactly below 2**53, so ``level * count`` and
       ``sum / count`` round as with integer counts;
     - the greedy arm is the ``pick``-th of the arms equal to the
       maximum, counted in index order; under lowest-index ties ``pick``
-      is 0, the first maximum, as the scalar ``greedy_ties`` takes it;
+      is 0, the first maximum;
     - no arm looks feasible exactly when the maximum is ``-inf``;
     - a pull adds the one-hot product ``hit * value`` to every arm's
       sums, and ``x + 0.0 == x`` for every sum (sums start at +0.0 and
       values are nonnegative), so the arms not pulled keep their bits.
-
-    ``keep_trajectories`` additionally records the arm each replication
-    selected at each checkpoint, for equivalence tests.
     """
     if not 0 <= rep_lo < rep_hi <= config.replications:
         raise ValidationError(
@@ -374,9 +309,6 @@ def run_chunk(
     arm_hits = np.zeros((n_checkpoints, n_arms), dtype=np.int64)
     cum_rewards = np.zeros((n_checkpoints, n_reps))
     cum_costs = np.zeros((n_checkpoints, n_reps))
-    trajectory_arms = None
-    if keep_trajectories:
-        trajectory_arms = np.zeros((n_checkpoints, n_reps), dtype=np.int64)
 
     arm_ids = np.arange(n_arms)[:, None]
     level = instance.constraint_level
@@ -431,8 +363,6 @@ def run_chunk(
             arm_hits[cp] += hits.sum(axis=1)
             cum_rewards[cp] = cum_reward
             cum_costs[cp] = cum_cost
-            if keep_trajectories:
-                trajectory_arms[cp] = arm
 
     return ChunkResult(
         rep_lo=rep_lo,
@@ -441,7 +371,6 @@ def run_chunk(
         arm_hits=arm_hits,
         cum_rewards=cum_rewards,
         cum_costs=cum_costs,
-        trajectory_arms=trajectory_arms,
     )
 
 

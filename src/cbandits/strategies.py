@@ -1,16 +1,15 @@
 """Exploration schedules and the constrained epsilon-greedy selection rule.
 
-The rule is written once, over plain per-arm statistics:
-:func:`greedy_ties` decides which arms the greedy branch may pick, in
-float or exact integer arithmetic, and :func:`choose_arm` turns a
-step's branch and arm uniforms into the selected arm.  The scalar
-reference trajectory (``harness.run_trial``) and the exact oracle
-(``analysis``) both call them.  A step consumes exactly
+The greedy decision is written once as a scalar, over plain per-arm
+statistics: :func:`greedy_ties` decides which arms the greedy branch may
+pick, in float or exact integer arithmetic.  The exact oracle
+(``analysis``) calls it at every state, and the vectorized harness
+kernel (``harness.run_chunk``) applies the same rule to a block of
+replications at once.  A step consumes exactly
 :data:`~cbandits.core.DRAWS_PER_STEP` uniforms, one Philox block, in a
 fixed order (branch, arm, reward, cost), whether or not a draw's value
-ends up used, so the vectorized harness kernel reads the same uniforms
-as the scalar reference.  Both read ``schedule.epsilon(t)`` at each
-step; no schedule is stored over the horizon.
+ends up used.  Both read ``schedule.epsilon(t)`` at each step; no
+schedule is stored over the horizon.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ __all__ = [
     "ExplicitSchedule",
     "schedule_from_config",
     "greedy_ties",
-    "choose_arm",
-    "BRANCH_GREEDY",
-    "BRANCH_FALLBACK",
-    "BRANCH_RANDOM",
     "TIE_LOWEST_INDEX",
     "TIE_UNIFORM",
     "TIE_RULES",
@@ -47,10 +42,6 @@ __all__ = [
     "POLICY_UNCONSTRAINED",
     "POLICIES",
 ]
-
-BRANCH_GREEDY = "greedy"
-BRANCH_FALLBACK = "greedy_fallback_uniform"
-BRANCH_RANDOM = "random"
 
 TIE_LOWEST_INDEX = "lowest_index"
 TIE_UNIFORM = "uniform"
@@ -271,10 +262,6 @@ def schedule_from_config(config: Mapping, path: str = "schedule") -> EpsilonSche
 # ---------------------------------------------------------------------------
 
 
-def _uniform_index(u: float, n: int) -> int:
-    return min(int(u * n), n - 1)
-
-
 def _check_strategy(policy: str, tie_rule: str) -> None:
     if policy not in POLICIES:
         raise ValidationError(
@@ -323,30 +310,3 @@ def greedy_ties(
                 ties.append(a)
     return ties if tie_rule == TIE_UNIFORM else ties[:1]
 
-
-def choose_arm(
-    counts: Sequence[int],
-    reward_sums: Sequence[float],
-    cost_sums: Sequence[float],
-    eps_t: float,
-    level: float,
-    policy: str,
-    tie_rule: str,
-    u_branch: float,
-    u_arm: float,
-) -> tuple[int, str]:
-    """Arm selected at a step with switching probability ``eps_t``.
-
-    With ``u_branch < eps_t``, or always under the ``uniform`` policy,
-    the arm is uniform over all arms: ``floor(u_arm * n)``.  Otherwise it
-    is drawn by ``u_arm`` from :func:`greedy_ties`, or uniform over all
-    arms when that is empty.  Returns ``(arm, branch)`` where branch is
-    one of ``"random"``, ``"greedy"``, ``"greedy_fallback_uniform"``.
-    """
-    n = len(counts)
-    if policy == POLICY_UNIFORM or u_branch < eps_t:
-        return _uniform_index(u_arm, n), BRANCH_RANDOM
-    ties = greedy_ties(counts, reward_sums, cost_sums, level, policy, tie_rule)
-    if not ties:
-        return _uniform_index(u_arm, n), BRANCH_FALLBACK
-    return ties[_uniform_index(u_arm, len(ties))], BRANCH_GREEDY

@@ -31,13 +31,16 @@ from cbandits.analysis import (
     optimal_feasible_arms,
     reward_separation,
 )
-from cbandits.harness import ExperimentConfig, run_experiment, run_trial, wilson_interval
+from cbandits.harness import ExperimentConfig, run_experiment, wilson_interval
 from cbandits.strategies import (
+    POLICIES,
     POLICY_CONSTRAINED,
     POLICY_UNCONSTRAINED,
     POLICY_UNIFORM,
+    TIE_RULES,
     TIE_UNIFORM,
     ConstantSchedule,
+    ExplicitSchedule,
     InverseTimeSchedule,
 )
 
@@ -83,6 +86,17 @@ def lattice_instance() -> ProblemInstance:
             Arm(Discrete((0.5, 0.75), (0.25, 0.75)), PointMass(0.8)),
         ),
         constraint_level=0.5,
+    )
+
+
+def knife_edge_instance() -> ProblemInstance:
+    # eta = 0: arm 0's cost 0.3 sits on the level 0.3.
+    return ProblemInstance(
+        arms=(
+            Arm(PointMass(0.9), PointMass(0.3)),
+            Arm(PointMass(0.5), PointMass(0.1)),
+        ),
+        constraint_level=0.3,
     )
 
 
@@ -283,7 +297,7 @@ class TestOracleFrozenValues:
         )
         assert result.arm_probabilities_exact == (Fraction(5, 8), Fraction(3, 8))
         assert result.arm_probabilities == (0.625, 0.375)
-        assert result.event_probability(0.0) == 0.625
+        assert result.delta_events == ((0.0, 0.625),)
         assert result.nodes == 3
 
     def test_two_step_quarter_exploration(self):
@@ -442,7 +456,6 @@ class TestOracleFrozenValues:
     def test_compounded_scales_law_is_frozen(
         self, instance, schedule, t, kwargs, digest, nodes, probabilities
     ):
-        kwargs = dict(kwargs, max_steps=t)
         exact = exact_selection_probability(instance, schedule, t, **kwargs)
         assert law_digest(exact.arm_probabilities_exact) == digest
         assert exact.nodes == nodes
@@ -457,10 +470,7 @@ class TestOracleFrozenValues:
             inst, ConstantSchedule(0.5), 3, deltas=(0.0, 0.25)
         )
         exact = result.arm_probabilities_exact
-        assert result.event_probability(0.0) == float(exact[1])
-        assert result.event_probability(0.25) == float(sum(exact))
-        with pytest.raises(KeyError):
-            result.event_probability(0.3)
+        assert result.delta_events == ((0.0, float(exact[1])), (0.25, float(sum(exact))))
 
 
 class TestOracleMethods:
@@ -489,21 +499,11 @@ class TestOracleMethods:
         # arm 0; exactly, it is on the boundary and feasible.  Counts 1-5
         # agree.  "float" mirrors the simulator, "fraction" is the
         # mathematical law, and here they differ.
-        instance = ProblemInstance(
-            arms=(
-                Arm(PointMass(0.9), PointMass(0.3)),
-                Arm(PointMass(0.5), PointMass(0.1)),
-            ),
-            constraint_level=0.3,
-        )
+        instance = knife_edge_instance()
         schedule = ConstantSchedule(0.5)
         t = 7
-        exact = exact_selection_probability(
-            instance, schedule, t, method="fraction", max_steps=t
-        )
-        floating = exact_selection_probability(
-            instance, schedule, t, method="float", max_steps=t
-        )
+        exact = exact_selection_probability(instance, schedule, t, method="fraction")
+        floating = exact_selection_probability(instance, schedule, t, method="float")
         assert sum(exact.arm_probabilities_exact) == 1
         # Only the path that plays arm 0 at steps 1-6 (mass 1/2 * (3/4)^5)
         # tells them apart: at step 7 the greedy branch keeps arm 0 exactly,
@@ -561,10 +561,11 @@ class TestOraclePolicies:
         )
         estimate = run_experiment(config).estimates[0]
         low, high = wilson_interval(estimate.successes, estimate.replications, z=4.0)
-        p = oracle.event_probability(0.0)
+        ((_, p),) = oracle.delta_events
         assert low <= p <= high, (p, low, high)
         # The constrained law is a different number, far outside the interval.
-        assert not low <= constrained.event_probability(0.0) <= high
+        ((_, other),) = constrained.delta_events
+        assert not low <= other <= high
 
 
 class TestOracleValidation:
@@ -581,16 +582,27 @@ class TestOracleValidation:
         assert err.value.code == "continuous_support"
         assert "arm 0 reward" in str(err.value)
 
-    def test_horizon_cap(self):
+    def test_state_budget_bounds_the_horizon(self):
+        # Row B reaches t = 15 in 111,588 states; by t = 40 the default
+        # budget is spent.
         with pytest.raises(ValidationError) as err:
-            exact_selection_probability(two_arm_instance(), ConstantSchedule(0.5), 7)
-        assert err.value.code == "oracle_horizon"
+            exact_selection_probability(bernoulli_instance(), InverseTimeSchedule(3.0), 40)
+        assert err.value.code == "oracle_tree_too_large"
 
-    def test_horizon_cap_is_adjustable(self):
-        result = exact_selection_probability(
-            two_arm_instance(), ConstantSchedule(0.5), 7, max_steps=7
-        )
-        assert sum(result.arm_probabilities_exact) == 1
+    def test_horizon_beyond_budget_fails_first(self):
+        # Every step holds at least one state, so t above the budget fails
+        # before the per-step inputs are built: this schedule has no value
+        # for step 2, and t = 10**9 would need a billion of them.
+        schedule = ExplicitSchedule((0.5,))
+        with pytest.raises(ValidationError) as err:
+            exact_selection_probability(two_arm_instance(), schedule, 6, max_nodes=5)
+        assert err.value.code == "oracle_tree_too_large"
+        with pytest.raises(ValidationError) as err:
+            exact_selection_probability(two_arm_instance(), schedule, 10**9)
+        assert err.value.code == "oracle_tree_too_large"
+        with pytest.raises(ValidationError) as err:
+            exact_selection_probability(two_arm_instance(), schedule, 2)
+        assert err.value.code == "bad_schedule"
 
     def test_node_budget(self):
         inst = ProblemInstance(
@@ -630,44 +642,13 @@ class TestOracleValidation:
 
 
 class TestOracleAgainstSimulation:
-    def test_monte_carlo_frequencies_match_oracle(self):
-        inst = ProblemInstance(
-            arms=(
-                Arm(Bernoulli(0.7), Bernoulli(0.3)),
-                Arm(Bernoulli(0.4), Bernoulli(0.6)),
-            ),
-            constraint_level=0.5,
-        )
-        schedule = InverseTimeSchedule(2.0)
-        t = 3
-        oracle = exact_selection_probability(inst, schedule, t, deltas=(0.0,))
-        replications = 20_000
-        config = ExperimentConfig(
-            instance=inst,
-            schedule=schedule,
-            checkpoints=(t,),
-            deltas=(0.0,),
-            replications=replications,
-            master_seed=777,
-        )
-        hits = np.zeros(inst.num_arms, dtype=np.int64)
-        for rep in range(replications):
-            (record,) = run_trial(config, rep)
-            hits[record.arm] += 1
-        for arm in range(inst.num_arms):
-            p = oracle.arm_probabilities[arm]
-            width = 4.0 * math.sqrt(p * (1.0 - p) / replications)
-            assert abs(hits[arm] / replications - p) <= width, (arm, p, hits)
-
     def test_monte_carlo_matches_exact_law_at_t15(self):
         # Real greedy and plausible-set dynamics: by t = 15 both arms have
         # been played and the feasibility estimates flip along many paths.
         instance = bernoulli_instance()
         schedule = InverseTimeSchedule(3.0)
         t = 15
-        oracle = exact_selection_probability(
-            instance, schedule, t, method="float", max_steps=t
-        )
+        oracle = exact_selection_probability(instance, schedule, t, method="float")
         replications = 20_000
         config = ExperimentConfig(
             instance=instance,
@@ -681,3 +662,47 @@ class TestOracleAgainstSimulation:
         for arm, p in enumerate(oracle.arm_probabilities):
             low, high = wilson_interval(hits[arm], replications, z=4.0)
             assert low <= p <= high, (arm, p, hits, low, high)
+
+
+GROUND_TRUTH_CASES = {
+    "row_b": (bernoulli_instance, InverseTimeSchedule(3.0)),
+    "lattice": (lattice_instance, InverseTimeSchedule(2.37)),
+    "knife_edge": (knife_edge_instance, ConstantSchedule(0.5)),
+}
+
+
+class TestKernelAgainstFloatLaw:
+    # The float law is the kernel's ground truth: it follows the
+    # simulator's doubles, so on the knife edge it is the law the kernel
+    # draws from, not the mathematical one.  At every checkpoint 1..12
+    # each arm's Monte Carlo frequency must hold it inside a z = 4 Wilson
+    # interval.  The 18 cases hold about 500 intervals, so a miss by
+    # chance somewhere has probability about 3%.
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("tie_rule", TIE_RULES)
+    @pytest.mark.parametrize("name", list(GROUND_TRUTH_CASES))
+    def test_arm_frequencies_hold_float_law(self, name, tie_rule, policy):
+        make_instance, schedule = GROUND_TRUTH_CASES[name]
+        instance = make_instance()
+        replications = 20_000
+        config = ExperimentConfig(
+            instance=instance,
+            schedule=schedule,
+            checkpoints=range(1, 13),
+            deltas=(0.0,),
+            replications=replications,
+            master_seed=1200,
+            policy=policy,
+            tie_rule=tie_rule,
+        )
+        selections = run_experiment(config).diagnostics["arm_selections"]
+        misses = []
+        for t, hits in zip(config.checkpoints, selections):
+            law = exact_selection_probability(
+                instance, schedule, t, tie_rule=tie_rule, policy=policy, method="float"
+            ).arm_probabilities
+            for arm, (count, p) in enumerate(zip(hits, law)):
+                low, high = wilson_interval(count, replications, z=4.0)
+                if not low <= p <= high:
+                    misses.append((t, arm, count, p))
+        assert not misses

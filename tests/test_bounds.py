@@ -22,7 +22,6 @@ from cbandits.bounds import (
     VARIANT_RHO_LINEAR,
     VARIANT_RHO_SQUARED,
     VARIANTS,
-    bernstein_tail,
     bound_from_mass,
     closed_form_exponents,
     closed_form_lower_bound,
@@ -45,37 +44,6 @@ def mp_factors(x, eps, n, delta, rho):
 
 def close(a, b, tol=1e-12):
     return math.isclose(a, float(b), rel_tol=tol, abs_tol=tol)
-
-
-class TestTailHelpers:
-    def test_bernstein_frozen_values(self):
-        assert bernstein_tail(0.0, 1.0) == 1.0
-        assert bernstein_tail(2.0, 1.0) == math.exp(-1.0)
-
-    def test_bernstein_matches_count_factor(self):
-        # With variance proxy 2x and deviation x the tail is exp(-x/5),
-        # exactly the count factor inside the selection bound.
-        for x in np.logspace(-3.0, 3.0, 25):
-            assert bernstein_tail(float(x), 2.0 * float(x)) == pytest.approx(
-                math.exp(-float(x) / 5.0), rel=1e-12
-            )
-
-    def test_bernstein_validation(self):
-        with pytest.raises(ValidationError) as err:
-            bernstein_tail(0.0, 0.0)
-        assert err.value.code == "bad_parameter"
-        with pytest.raises(ValidationError):
-            bernstein_tail(-1.0, 1.0)
-        with pytest.raises(ValidationError):
-            bernstein_tail(1.0, -1.0)
-
-    def test_tails_stay_in_unit_interval(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            h = float(rng.uniform(0.0, 50.0))
-            sigma_sq = float(rng.uniform(0.0, 50.0))
-            if h + sigma_sq > 0.0:
-                assert 0.0 < bernstein_tail(h, sigma_sq) <= 1.0
 
 
 class TestExplorationMass:

@@ -40,6 +40,9 @@ experiment:
   master_seed: 7
 """
 
+# Row B of the acceptance panel, with the oracle checks' schedule.
+ROW_B_CONFIG = TWO_ARM_CONFIG.replace("k: 20", "k: 3")
+
 ORACLE_CONFIG = """\
 instance:
   constraint_level: 0.5
@@ -468,11 +471,19 @@ class TestOracle:
         assert code == 2
         assert "config error [bad_config]" in capsys.readouterr().err
 
-    def test_horizon_cap_exits_2(self, tmp_path, capsys):
-        config_path = write_config(tmp_path, ORACLE_CONFIG)
-        code = main(["oracle", "--config", config_path, "--t", "40"])
+    def test_row_b_reaches_t10(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, ROW_B_CONFIG)
+        assert main(["oracle", "--config", config_path, "--t", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes"] == 12_727
+
+    @pytest.mark.parametrize("t", ["40", "1000000000"])
+    def test_state_budget_exits_2(self, tmp_path, capsys, t):
+        # Row B spends the state budget before t = 40; a horizon above the
+        # budget fails before any step is built.
+        config_path = write_config(tmp_path, ROW_B_CONFIG)
+        code = main(["oracle", "--config", config_path, "--t", t])
         assert code == 2
-        assert "oracle_horizon" in capsys.readouterr().err
+        assert "config error [oracle_tree_too_large]" in capsys.readouterr().err
 
     def test_scalar_deltas_exits_2(self, tmp_path, capsys):
         config_path = write_config(tmp_path, ORACLE_CONFIG + "experiment: {deltas: 0.1}\n")

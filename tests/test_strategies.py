@@ -18,11 +18,9 @@ from cbandits.core import (
     ValidationError,
     step_uniforms,
 )
-from cbandits.harness import ExperimentConfig, run_trial
+import cbandits.harness as harness
+from cbandits.harness import ExperimentConfig, run_chunk
 from cbandits.strategies import (
-    BRANCH_FALLBACK,
-    BRANCH_GREEDY,
-    BRANCH_RANDOM,
     POLICY_CONSTRAINED,
     POLICY_UNCONSTRAINED,
     POLICY_UNIFORM,
@@ -31,7 +29,6 @@ from cbandits.strategies import (
     ConstantSchedule,
     ExplicitSchedule,
     InverseTimeSchedule,
-    choose_arm,
     greedy_ties,
     schedule_from_config,
 )
@@ -54,14 +51,45 @@ def played(num_arms, *plays):
     return counts, reward_sums, cost_sums
 
 
-def example_state():
-    # One play per arm; arm 0 looks good and feasible, arm 1 infeasible.
-    return played(2, (0, 1.0, 0.0), (1, 0.0, 1.0))
+def point_mass_instance(*arms, level=0.5) -> ProblemInstance:
+    """Arms with the given (reward, cost) point masses."""
+    return ProblemInstance(
+        arms=tuple(Arm(PointMass(r), PointMass(c)) for r, c in arms), constraint_level=level
+    )
 
 
-def select(state, eps, u_branch, u_arm, level=0.5, policy=POLICY_CONSTRAINED,
-           tie_rule=TIE_LOWEST_INDEX):
-    return choose_arm(*state, eps, level, policy, tie_rule, u_branch, u_arm)
+def example_instance() -> ProblemInstance:
+    # Arm 0 pays 1 at cost 0 and looks feasible; arm 1 pays 0 at cost 1.
+    return point_mass_instance((1.0, 0.0), (0.0, 1.0))
+
+
+def pull(arm, n=2):
+    """A step's uniforms that play ``arm`` of ``n`` on the random branch."""
+    return (0.0, (arm + 0.5) / n, 0.5, 0.5)
+
+
+def scripted_chunk(monkeypatch, instance, blocks, eps=0.5, **strategy):
+    """``run_chunk`` over ``len(blocks[0])`` replications, reported at
+    every step, where replication r draws ``blocks[t - 1][r]`` at step t."""
+    blocks = np.array(blocks, dtype=float)
+    monkeypatch.setattr(harness, "step_uniforms", lambda seed, lo, hi: iter(blocks))
+    config = ExperimentConfig(
+        instance=instance,
+        schedule=ConstantSchedule(eps),
+        checkpoints=range(1, len(blocks) + 1),
+        deltas=(0.0,),
+        replications=blocks.shape[1],
+        master_seed=0,
+        **strategy,
+    )
+    return run_chunk(config, 0, blocks.shape[1])
+
+
+def kernel_arms(monkeypatch, instance, steps, eps=0.5, **strategy):
+    """The arm one replication selects at each step when it draws the
+    (branch, arm, reward, cost) uniforms ``steps``."""
+    chunk = scripted_chunk(monkeypatch, instance, [[row] for row in steps], eps, **strategy)
+    return [int(np.flatnonzero(hits)[0]) for hits in chunk.arm_hits]
 
 
 def trial_config(instance, schedule, checkpoints, master_seed, **kwargs) -> ExperimentConfig:
@@ -238,58 +266,62 @@ def test_greedy_ties_on_integer_keys():
 
 
 # ---------------------------------------------------------------------------
-# selection
+# selection, on the kernel with scripted uniforms
 # ---------------------------------------------------------------------------
+# After pull(0) and pull(1) on the example instance, arm 0 is the greedy
+# arm and arm 1 looks infeasible.  The uniforms of each step under test
+# are chosen so that the random and the greedy branch pick different arms.
 
 
-def test_select_arm_scripted_branches():
-    # Greedy branch: feasible estimate is {0}, so arm 0 wins.
-    assert select(example_state(), 0.5, 0.6, 0.9) == (0, BRANCH_GREEDY)
-    # Random branch maps the arm uniform through floor(u * n).
-    assert select(example_state(), 0.5, 0.4, 0.3) == (0, BRANCH_RANDOM)
-    assert select(example_state(), 0.5, 0.4, 0.6) == (1, BRANCH_RANDOM)
+def test_select_arm_scripted_branches(monkeypatch):
+    steps = [
+        pull(0), pull(1),
+        (0.6, 0.9, 0.5, 0.5),  # greedy: arm 0, where the random branch gives 1
+        (0.4, 0.3, 0.5, 0.5),  # random: floor(2 * 0.3) = 0
+        (0.4, 0.6, 0.5, 0.5),  # random: floor(2 * 0.6) = 1, where greedy gives 0
+    ]
+    assert kernel_arms(monkeypatch, example_instance(), steps) == [0, 1, 0, 0, 1]
 
 
-def test_select_arm_probability_by_exact_enumeration():
-    # With eps = 0.5 and the example state, quadrant midpoints of the two
-    # uniforms carry equal probability 1/4 each; arm 0 wins three of four.
-    wins = 0
-    for u_branch in (0.25, 0.75):
-        for u_arm in (0.25, 0.75):
-            arm, _ = select(example_state(), 0.5, u_branch, u_arm)
-            wins += arm == 0
-    assert wins == 3  # probability 0.75
+def test_select_arm_probability_by_exact_enumeration(monkeypatch):
+    # With eps = 0.5, quadrant midpoints of the two uniforms carry equal
+    # probability 1/4 each; arm 0 wins three of four.
+    quadrants = [(b, a, 0.5, 0.5) for b in (0.25, 0.75) for a in (0.25, 0.75)]
+    blocks = [[pull(0)] * 4, [pull(1)] * 4, quadrants]
+    chunk = scripted_chunk(monkeypatch, example_instance(), blocks)
+    assert chunk.arm_hits[2].tolist() == [3, 1]  # probability 0.75
 
 
-def test_select_arm_probability_by_frequency():
+def test_select_arm_probability_by_frequency(monkeypatch):
     n = 40_000
-    draws = np.random.default_rng(42).random(2 * n).tolist()
-    wins = sum(
-        select(example_state(), 0.5, draws[2 * i], draws[2 * i + 1])[0] == 0
-        for i in range(n)
-    )
+    draws = np.random.default_rng(42).random((n, 4))
+    blocks = [[pull(0)] * n, [pull(1)] * n, draws]
+    wins = scripted_chunk(monkeypatch, example_instance(), blocks).arm_hits[2, 0]
     # Four-sigma band around 0.75.
     assert abs(wins / n - 0.75) <= 4.0 * math.sqrt(0.75 * 0.25 / n)
 
 
-def test_exploration_floor_exact():
+def test_exploration_floor_exact(monkeypatch):
     # P{arm 1} = eps/2 = 0.25: only the random branch with u_arm >= 0.5.
-    hits = 0
     grid = 20
-    for i in range(grid):
-        for j in range(grid):
-            arm, _ = select(example_state(), 0.5, (i + 0.5) / grid, (j + 0.5) / grid)
-            hits += arm == 1
-    assert hits / grid**2 == pytest.approx(0.25, abs=0)
+    midpoints = [(i + 0.5) / grid for i in range(grid)]
+    cells = [(b, a, 0.5, 0.5) for b in midpoints for a in midpoints]
+    blocks = [[pull(0)] * grid**2, [pull(1)] * grid**2, cells]
+    hits = scripted_chunk(monkeypatch, example_instance(), blocks).arm_hits[2, 1]
+    assert hits / grid**2 == 0.25
 
 
-def test_fallback_branch_when_nothing_played():
-    assert select(played(2), 0.5, 0.9, 0.7) == (1, BRANCH_FALLBACK)
+def test_fallback_branch_when_nothing_played(monkeypatch):
+    # floor(2 * 0.7) = 1; a greedy pick among no arms would give 0.
+    assert kernel_arms(monkeypatch, example_instance(), [(0.9, 0.7, 0.5, 0.5)]) == [1]
 
 
-def test_fallback_branch_when_all_look_infeasible():
-    state = played(2, (0, 0.5, 1.0), (1, 0.5, 0.9))
-    assert select(state, 0.5, 0.9, 0.1) == (0, BRANCH_FALLBACK)
+def test_fallback_branch_when_all_look_infeasible(monkeypatch):
+    # Arms 0 and 1 look infeasible and arm 2 is unplayed: floor(3 * 0.9)
+    # = 2, where a greedy pick among no arms would give 0.
+    instance = point_mass_instance((0.5, 1.0), (0.5, 0.9), (0.5, 0.0))
+    steps = [pull(0, 3), pull(1, 3), (0.9, 0.9, 0.5, 0.5)]
+    assert kernel_arms(monkeypatch, instance, steps)[-1] == 2
 
 
 def test_greedy_stays_inside_feasible_estimate():
@@ -304,24 +336,24 @@ def test_greedy_stays_inside_feasible_estimate():
         feasible = [
             a for a in range(n) if counts[a] > 0 and cost_sums[a] <= 0.5 * counts[a]
         ]
-        arm, branch = select(state, 0.25, 0.99, rng.random())
-        if feasible:
-            assert branch == BRANCH_GREEDY
-            assert arm in feasible
-        else:
-            assert branch == BRANCH_FALLBACK
+        ties = greedy_ties(*state, 0.5, POLICY_CONSTRAINED, TIE_UNIFORM)
+        assert set(ties) <= set(feasible)
+        assert bool(ties) == bool(feasible)
 
 
-def test_tie_breaking_lowest_index_default():
-    state = played(3, (0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.5, 0.0))
-    assert select(state, 0.5, 0.9, 0.99) == (0, BRANCH_GREEDY)
+def test_tie_breaking_lowest_index_default(monkeypatch):
+    instance = point_mass_instance((0.5, 0.0), (0.5, 0.0), (0.5, 0.0))
+    steps = [pull(0, 3), pull(1, 3), pull(2, 3), (0.9, 0.99, 0.5, 0.5)]
+    assert kernel_arms(monkeypatch, instance, steps)[-1] == 0
 
 
-def test_tie_breaking_uniform_uses_arm_draw():
-    state = played(3, (0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.2, 0.0))
-    # Ties are {0, 1}; u_arm = 0.6 selects index 1 of the tie list.
-    assert select(state, 0.5, 0.9, 0.6, tie_rule=TIE_UNIFORM) == (1, BRANCH_GREEDY)
-    assert select(state, 0.5, 0.9, 0.3, tie_rule=TIE_UNIFORM)[0] == 0
+def test_tie_breaking_uniform_uses_arm_draw(monkeypatch):
+    # Ties are {0, 1}: u_arm = 0.7 selects index 1 of the tie list, where
+    # the random branch gives arm 2, and 0.4 index 0, where it gives 1.
+    instance = point_mass_instance((0.5, 0.0), (0.5, 0.0), (0.2, 0.0))
+    steps = [pull(0, 3), pull(1, 3), pull(2, 3), (0.9, 0.7, 0.5, 0.5), (0.9, 0.4, 0.5, 0.5)]
+    arms = kernel_arms(monkeypatch, instance, steps, tie_rule=TIE_UNIFORM)
+    assert arms[-2:] == [1, 0]
 
 
 def test_selection_is_scale_invariant():
@@ -333,10 +365,8 @@ def test_selection_is_scale_invariant():
                 r, c = float(rng.random()), float(rng.random())
                 plays.append((a, r, c))
                 scaled.append((a, 0.25 * r, c))
-        u_arm = float(rng.random())
-        a1, _ = select(played(3, *plays), 0.5, 0.99, u_arm)
-        a2, _ = select(played(3, *scaled), 0.5, 0.99, u_arm)
-        assert a1 == a2
+        ties = greedy_ties(*played(3, *plays), 0.5, POLICY_CONSTRAINED, TIE_UNIFORM)
+        assert ties == greedy_ties(*played(3, *scaled), 0.5, POLICY_CONSTRAINED, TIE_UNIFORM)
 
 
 def test_select_arm_rejects_bad_tie_rule():
@@ -354,15 +384,19 @@ def test_select_arm_rejects_bad_tie_rule():
 # ---------------------------------------------------------------------------
 
 
-def test_uniform_baseline_ignores_state():
-    assert select(example_state(), 0.5, 0.99, 0.7, policy=POLICY_UNIFORM) == (1, BRANCH_RANDOM)
+def test_uniform_baseline_ignores_state(monkeypatch):
+    steps = [pull(0), pull(1), (0.99, 0.7, 0.5, 0.5)]
+    arms = kernel_arms(monkeypatch, example_instance(), steps, policy=POLICY_UNIFORM)
+    assert arms[-1] == 1
 
 
-def test_unconstrained_baseline_ignores_costs():
+def test_unconstrained_baseline_ignores_costs(monkeypatch):
     # Arm 1 has the best empirical reward but is infeasible.
-    state = played(2, (0, 0.2, 0.0), (1, 0.9, 1.0))
-    assert select(state, 0.5, 0.99, 0.3, policy=POLICY_UNCONSTRAINED) == (1, BRANCH_GREEDY)
-    assert select(state, 0.5, 0.99, 0.3)[0] == 0
+    instance = point_mass_instance((0.2, 0.0), (0.9, 1.0))
+    steps = [pull(0), pull(1), (0.99, 0.3, 0.5, 0.5)]
+    unconstrained = kernel_arms(monkeypatch, instance, steps, policy=POLICY_UNCONSTRAINED)
+    assert unconstrained[-1] == 1
+    assert kernel_arms(monkeypatch, instance, steps)[-1] == 0
 
 
 def test_baseline_select_rejects_unknown_policy():
@@ -375,7 +409,7 @@ def test_baseline_select_rejects_unknown_policy():
 
 
 # ---------------------------------------------------------------------------
-# scalar trajectories
+# one-replication trajectories
 # ---------------------------------------------------------------------------
 
 
@@ -383,49 +417,49 @@ def test_step_point_mass_composition():
     # Each step reads four uniforms in order: branch, arm, reward, cost.
     # Point masses leave the last two unused, so a step that read fewer
     # would pick its arm from the wrong uniform after the first step.
-    instance = ProblemInstance(
-        arms=(Arm(PointMass(1.0), PointMass(0.0)), Arm(PointMass(0.0), PointMass(1.0))),
-        constraint_level=0.5,
-    )
+    instance = example_instance()
     horizon = 30
     config = trial_config(instance, ConstantSchedule(0.5), range(1, horizon + 1), 5)
+    chunk = run_chunk(config, 0, 1)
     stream = step_uniforms(5, 0, 1)
-    counts, reward_sums, cost_sums = state = played(2)
-    for record in run_trial(config, 0):
+    counts = [0, 0]
+    for t in range(horizon):
         u_branch, u_arm, _, _ = next(stream)[0].tolist()
-        arm, _ = select(state, 0.5, u_branch, u_arm)
-        assert record.arm == arm
+        # Once arm 0 is played it is the greedy arm; before, the greedy
+        # branch falls back to floor(2 u_arm), as the random branch does.
+        arm = int(2 * u_arm) if u_branch < 0.5 or counts[0] == 0 else 0
+        assert chunk.arm_hits[t, arm] == 1
         counts[arm] += 1
-        reward_sums[arm] += instance.arms[arm].reward.value
-        cost_sums[arm] += instance.arms[arm].cost.value
-        assert record.cumulative_reward == sum(reward_sums)
-        assert record.cumulative_cost == sum(cost_sums)
+        assert chunk.cum_rewards[t, 0] == counts[0]
+        assert chunk.cum_costs[t, 0] == counts[1]
     assert sum(counts) == horizon
-    # The first step has nothing played, so it falls back to floor(2 u_arm).
-    assert select(played(2), 0.5, 0.9, 0.2) == (0, BRANCH_FALLBACK)
 
 
 def test_simulate_count_conservation_and_replay():
     horizon = 10_000
     every = trial_config(bern_instance(), InverseTimeSchedule(20.0), range(1, horizon + 1), 77)
-    records = run_trial(every, 0)
-    assert [r.t for r in records] == list(range(1, horizon + 1))
-    # One Bernoulli reward and cost per step.
-    previous = (0.0, 0.0)
-    for r in records:
-        assert r.cumulative_reward - previous[0] in (0.0, 1.0)
-        assert r.cumulative_cost - previous[1] in (0.0, 1.0)
-        previous = (r.cumulative_reward, r.cumulative_cost)
+    chunk = run_chunk(every, 0, 1)
+    # One pull, one Bernoulli reward and one cost per step.
+    assert (chunk.arm_hits.sum(axis=1) == 1).all()
+    for totals in (chunk.cum_rewards[:, 0], chunk.cum_costs[:, 0]):
+        assert set(np.diff(totals, prepend=0.0).tolist()) <= {0.0, 1.0}
     # Reporting every step does not change the trajectory.
-    last = trial_config(bern_instance(), InverseTimeSchedule(20.0), (horizon,), 77)
-    assert run_trial(last, 0) == (records[-1],)
+    last = run_chunk(trial_config(bern_instance(), InverseTimeSchedule(20.0), (horizon,), 77), 0, 1)
+    assert last.arm_hits.tolist() == chunk.arm_hits[-1:].tolist()
+    assert last.cum_rewards.tolist() == chunk.cum_rewards[-1:].tolist()
+    assert last.cum_costs.tolist() == chunk.cum_costs[-1:].tolist()
 
 
 def test_simulate_is_bit_reproducible():
     config = trial_config(bern_instance(), ConstantSchedule(0.5), range(1, 501), 5)
-    a = run_trial(config, 3)
-    assert a == run_trial(config, 3)
-    assert a != run_trial(config, 4)
+
+    def trajectory(rep):
+        chunk = run_chunk(config, rep, rep + 1)
+        return chunk.arm_hits.tolist(), chunk.cum_rewards.tolist(), chunk.cum_costs.tolist()
+
+    a = trajectory(3)
+    assert a == trajectory(3)
+    assert a != trajectory(4)
 
 
 def test_simulate_mixed_kind_instance_runs():
@@ -438,17 +472,18 @@ def test_simulate_mixed_kind_instance_runs():
     )
     horizon = 200
     config = trial_config(instance, ConstantSchedule(1.0), range(1, horizon + 1), 1)
-    records = run_trial(config, 0)
-    assert {r.arm for r in records} == {0, 1}
+    chunk = run_chunk(config, 0, 1)
+    assert (chunk.arm_hits.sum(axis=0) > 0).all()
     # eps = 1: every step takes the random branch, floor(2 u_arm), and
     # draws its reward and cost from the step's third and fourth uniforms.
     stream = step_uniforms(1, 0, 1)
     totals = (0.0, 0.0)
-    for r in records:
+    for t in range(horizon):
         _, u_arm, u_reward, u_cost = next(stream)[0].tolist()
-        assert r.arm == int(2 * u_arm)
-        reward = instance.arms[r.arm].reward.quantile(u_reward)
-        cost = instance.arms[r.arm].cost.quantile(u_cost)
+        arm = int(2 * u_arm)
+        assert chunk.arm_hits[t, arm] == 1
+        reward = instance.arms[arm].reward.quantile(u_reward)
+        cost = instance.arms[arm].cost.quantile(u_cost)
         assert 0.0 <= reward <= 1.0 and 0.0 <= cost <= 1.0
         totals = (totals[0] + reward, totals[1] + cost)
-        assert (r.cumulative_reward, r.cumulative_cost) == totals
+        assert (chunk.cum_rewards[t, 0], chunk.cum_costs[t, 0]) == totals
