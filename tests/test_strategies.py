@@ -51,10 +51,10 @@ def played(num_arms, *plays):
     return counts, reward_sums, cost_sums
 
 
-def point_mass_instance(*arms, level=0.5) -> ProblemInstance:
-    """Arms with the given (reward, cost) point masses."""
+def point_mass_instance(*arms) -> ProblemInstance:
+    """Arms with the given (reward, cost) point masses, level 0.5."""
     return ProblemInstance(
-        arms=tuple(Arm(PointMass(r), PointMass(c)) for r, c in arms), constraint_level=level
+        arms=tuple(Arm(PointMass(r), PointMass(c)) for r, c in arms), constraint_level=0.5
     )
 
 
@@ -68,14 +68,15 @@ def pull(arm, n=2):
     return (0.0, (arm + 0.5) / n, 0.5, 0.5)
 
 
-def scripted_chunk(monkeypatch, instance, blocks, eps=0.5, **strategy):
-    """``run_chunk`` over ``len(blocks[0])`` replications, reported at
-    every step, where replication r draws ``blocks[t - 1][r]`` at step t."""
+def scripted_chunk(monkeypatch, instance, blocks, **strategy):
+    """``run_chunk`` with eps = 0.5 over ``len(blocks[0])`` replications,
+    reported at every step, where replication r draws ``blocks[t - 1][r]``
+    at step t."""
     blocks = np.array(blocks, dtype=float)
     monkeypatch.setattr(harness, "step_uniforms", lambda seed, lo, hi: iter(blocks))
     config = ExperimentConfig(
         instance=instance,
-        schedule=ConstantSchedule(eps),
+        schedule=ConstantSchedule(0.5),
         checkpoints=range(1, len(blocks) + 1),
         deltas=(0.0,),
         replications=blocks.shape[1],
@@ -85,10 +86,10 @@ def scripted_chunk(monkeypatch, instance, blocks, eps=0.5, **strategy):
     return run_chunk(config, 0, blocks.shape[1])
 
 
-def kernel_arms(monkeypatch, instance, steps, eps=0.5, **strategy):
+def kernel_arms(monkeypatch, instance, steps, **strategy):
     """The arm one replication selects at each step when it draws the
     (branch, arm, reward, cost) uniforms ``steps``."""
-    chunk = scripted_chunk(monkeypatch, instance, [[row] for row in steps], eps, **strategy)
+    chunk = scripted_chunk(monkeypatch, instance, [[row] for row in steps], **strategy)
     return [int(np.flatnonzero(hits)[0]) for hits in chunk.arm_hits]
 
 
