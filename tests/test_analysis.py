@@ -100,6 +100,20 @@ def knife_edge_instance() -> ProblemInstance:
     )
 
 
+def tied_point_mass_instance() -> ProblemInstance:
+    # Dyadic values keep every empirical mean exact, so arms 0 and 1 tie
+    # for the best whenever both have been played; arm 1 sits on the
+    # feasibility boundary.
+    return ProblemInstance(
+        arms=(
+            Arm(PointMass(0.5), PointMass(0.25)),
+            Arm(PointMass(0.5), PointMass(0.5)),
+            Arm(PointMass(0.25), PointMass(0.125)),
+        ),
+        constraint_level=0.5,
+    )
+
+
 def five_arm_instance() -> ProblemInstance:
     # Ties among up to five arms, so the greedy shares run over lcm(1..5).
     return ProblemInstance(
@@ -664,31 +678,35 @@ class TestOracleAgainstSimulation:
             assert low <= p <= high, (arm, p, hits, low, high)
 
 
+# (instance, schedule, last checkpoint).  The five-arm law outgrows the
+# state budget after t = 8, and t = 6 keeps its oracle under a second.
 GROUND_TRUTH_CASES = {
-    "row_b": (bernoulli_instance, InverseTimeSchedule(3.0)),
-    "lattice": (lattice_instance, InverseTimeSchedule(2.37)),
-    "knife_edge": (knife_edge_instance, ConstantSchedule(0.5)),
+    "row_b": (bernoulli_instance, InverseTimeSchedule(3.0), 12),
+    "lattice": (lattice_instance, InverseTimeSchedule(2.37), 12),
+    "knife_edge": (knife_edge_instance, ConstantSchedule(0.5), 12),
+    "tied_point_mass": (tied_point_mass_instance, InverseTimeSchedule(3.0), 12),
+    "five_arm": (five_arm_instance, InverseTimeSchedule(3.0), 6),
 }
 
 
 class TestKernelAgainstFloatLaw:
     # The float law is the kernel's ground truth: it follows the
     # simulator's doubles, so on the knife edge it is the law the kernel
-    # draws from, not the mathematical one.  At every checkpoint 1..12
-    # each arm's Monte Carlo frequency must hold it inside a z = 4 Wilson
-    # interval.  The 18 cases hold about 500 intervals, so a miss by
-    # chance somewhere has probability about 3%.
+    # draws from, not the mathematical one.  At every checkpoint up to the
+    # case's last one, each arm's Monte Carlo frequency must hold it inside
+    # a z = 4 Wilson interval.  The 30 cases hold about 1,000 intervals,
+    # so a miss by chance somewhere has probability about 6%.
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("tie_rule", TIE_RULES)
     @pytest.mark.parametrize("name", list(GROUND_TRUTH_CASES))
     def test_arm_frequencies_hold_float_law(self, name, tie_rule, policy):
-        make_instance, schedule = GROUND_TRUTH_CASES[name]
+        make_instance, schedule, horizon = GROUND_TRUTH_CASES[name]
         instance = make_instance()
         replications = 20_000
         config = ExperimentConfig(
             instance=instance,
             schedule=schedule,
-            checkpoints=range(1, 13),
+            checkpoints=range(1, horizon + 1),
             deltas=(0.0,),
             replications=replications,
             master_seed=1200,
