@@ -227,8 +227,8 @@ def closed_form_lower_bound(
     The ``rho_squared`` variant never exceeds the exact bound; the
     ``rho_linear`` variant can when rho < 1.
     """
-    k = _as_float(k, "bad_parameter", "k", 1.0, strict=True)
     alpha, log_beta = closed_form_exponents(k, num_arms, delta, rho, variant)
+    k = float(k)
     t = _as_float(t, "bad_parameter", "t")
     if t < k:
         raise ValidationError(

@@ -28,8 +28,9 @@ from cbandits.bounds import (
 from cbandits.core import (
     Beta,
     ValidationError,
-    _check_keys,
-    _require_mapping,
+    _as_int,
+    _increasing_steps,
+    _section,
     instance_from_config,
 )
 from cbandits.harness import (
@@ -57,7 +58,9 @@ __all__ = [
     "main",
 ]
 
-_TOP_KEYS = ("instance", "strategy", "schedule", "experiment", "output")
+_REQUIRED_SECTIONS = ("instance", "schedule")
+_OPTIONAL_SECTIONS = ("strategy", "experiment", "output")
+_STRATEGY_KEYS = ("kind", "tie_rule")
 _EXPERIMENT_KEYS = ("checkpoints", "deltas", "replications", "master_seed")
 _OUTPUT_KEYS = ("results_csv", "summary_json")
 
@@ -80,42 +83,34 @@ BOUNDS_CSV_COLUMNS = (
 )
 
 
-def load_config_file(path: str) -> Mapping:
+def load_config_file(path: str):
+    """The YAML document at ``path``; :func:`_parse_sections` checks it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except FileNotFoundError:
         raise ValidationError("bad_config", f"config file not found: {path}")
     except yaml.YAMLError as err:
         raise ValidationError("bad_config", f"config file {path} is not valid YAML: {err}")
-    return _require_mapping(loaded, "config")
 
 
 def _parse_sections(top: Mapping) -> dict:
     """Validate section structure and parse everything but checkpoints."""
-    top = _require_mapping(top, "config")
-    _check_keys(top, _TOP_KEYS, "config")
-    for section in ("instance", "schedule"):
-        if section not in top:
-            raise ValidationError(
-                "bad_config", f"missing required config section {section!r}"
-            )
+    top = _section(top, "config", _REQUIRED_SECTIONS, _OPTIONAL_SECTIONS)
     instance = instance_from_config(top["instance"])
     schedule = schedule_from_config(top["schedule"])
 
-    strategy_raw = _require_mapping(top.get("strategy", {}), "strategy")
-    _check_keys(strategy_raw, ("kind", "tie_rule"), "strategy")
+    strategy_raw = _section(top.get("strategy", {}), "strategy", optional=_STRATEGY_KEYS)
     policy = strategy_raw.get("kind", POLICY_CONSTRAINED)
     tie_rule = strategy_raw.get("tie_rule", TIE_LOWEST_INDEX)
     _check_strategy(policy, tie_rule)
 
-    experiment_raw = _require_mapping(top.get("experiment", {}), "experiment")
-    _check_keys(experiment_raw, _EXPERIMENT_KEYS, "experiment")
-    if not isinstance(experiment_raw.get("deltas", []), (list, tuple)):
-        raise ValidationError("bad_config", "experiment.deltas must be a list")
+    experiment_raw = _section(top.get("experiment", {}), "experiment", optional=_EXPERIMENT_KEYS)
+    for key in ("checkpoints", "deltas"):
+        if not isinstance(experiment_raw.get(key, []), (list, tuple)):
+            raise ValidationError("bad_config", f"experiment.{key} must be a list")
 
-    output_raw = _require_mapping(top.get("output", {}), "output")
-    _check_keys(output_raw, _OUTPUT_KEYS, "output")
+    output_raw = _section(top.get("output", {}), "output", optional=_OUTPUT_KEYS)
     output = dict(DEFAULT_OUTPUT)
     for key in _OUTPUT_KEYS:
         if key in output_raw:
@@ -141,18 +136,13 @@ def experiment_from_mapping(top: Mapping) -> tuple[ExperimentConfig, dict]:
     config mapping.  Defaults are filled in here so the resolved echo is
     always explicit."""
     parts = _parse_sections(top)
-    experiment_raw = parts["experiment_raw"]
-    if "checkpoints" not in experiment_raw:
-        raise ValidationError("bad_config", "experiment.checkpoints is required")
-    checkpoints = experiment_raw["checkpoints"]
-    if not isinstance(checkpoints, (list, tuple)):
-        raise ValidationError(
-            "bad_config", "experiment.checkpoints must be a list of integers"
-        )
+    experiment_raw = _section(
+        parts["experiment_raw"], "experiment", ("checkpoints",), _EXPERIMENT_KEYS
+    )
     config = ExperimentConfig(
         instance=parts["instance"],
         schedule=parts["schedule"],
-        checkpoints=tuple(checkpoints),
+        checkpoints=tuple(experiment_raw["checkpoints"]),
         deltas=tuple(experiment_raw.get("deltas", [0.0])),
         replications=experiment_raw.get("replications", 100),
         master_seed=experiment_raw.get("master_seed", 0),
@@ -162,10 +152,12 @@ def experiment_from_mapping(top: Mapping) -> tuple[ExperimentConfig, dict]:
     return config, parts["output"]
 
 
-def _apply_overrides(top: Mapping, args: argparse.Namespace) -> dict:
-    mutable = {key: value for key, value in top.items()}
-    experiment = dict(_require_mapping(mutable.get("experiment", {}), "experiment"))
-    strategy = dict(_require_mapping(mutable.get("strategy", {}), "strategy"))
+def _apply_overrides(top, args: argparse.Namespace) -> dict:
+    mutable = dict(_section(top, "config", _REQUIRED_SECTIONS, _OPTIONAL_SECTIONS))
+    experiment = dict(
+        _section(mutable.get("experiment", {}), "experiment", optional=_EXPERIMENT_KEYS)
+    )
+    strategy = dict(_section(mutable.get("strategy", {}), "strategy", optional=_STRATEGY_KEYS))
     if args.replications is not None:
         experiment["replications"] = args.replications
     if args.master_seed is not None:
@@ -182,10 +174,7 @@ def _apply_overrides(top: Mapping, args: argparse.Namespace) -> dict:
 def cmd_run(args: argparse.Namespace) -> int:
     top = _apply_overrides(load_config_file(args.config), args)
     config, output = experiment_from_mapping(top)
-    if args.workers < 1:
-        raise ValidationError(
-            "bad_parameter", f"--workers must be >= 1, got {args.workers}"
-        )
+    _as_int(args.workers, "bad_parameter", "--workers", 1)
 
     resolved = config.to_config()
     resolved["output"] = dict(output)
@@ -233,13 +222,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     schedule = _bound_schedule(args)
-    grid = list(args.t_grid)
-    if not grid:
-        raise ValidationError("bad_config", "--t-grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError(
-            "bad_config", f"--t-grid must be strictly increasing, got {grid}"
-        )
+    grid = _increasing_steps(args.t_grid, "--t-grid")
 
     variants = {
         "both": (VARIANT_RHO_SQUARED, VARIANT_RHO_LINEAR),
@@ -289,21 +272,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    violations = []
-    notes = []
+    notes, violation = [], None
     try:
         top = load_config_file(args.config)
-    except ValidationError as err:
-        print(f"violation [{err.code}]: {err}")
-        print("invalid: 1 violation")
-        return 2
-
-    parts = None
-    try:
         parts = _parse_sections(top)
-    except ValidationError as err:
-        violations.append(err)
-    if parts is not None:
         notes.append(f"instance: {parts['instance'].num_arms} arms, "
                      f"constraint level {parts['instance'].constraint_level}")
         profile = feasibility_profile(parts["instance"])
@@ -314,21 +286,19 @@ def cmd_validate(args: argparse.Namespace) -> int:
             notes.append("note: rho = 0, the selection bound is vacuous")
         if profile.eta == 0.0:
             notes.append("note: eta = 0, an arm sits exactly on the budget")
-        if "experiment" in top and "checkpoints" in top["experiment"]:
-            try:
-                experiment_from_mapping(top)
-                notes.append("experiment: valid")
-            except ValidationError as err:
-                violations.append(err)
+        if "checkpoints" in parts["experiment_raw"]:
+            experiment_from_mapping(top)
+            notes.append("experiment: valid")
         else:
             notes.append("experiment: no checkpoints declared, run config incomplete")
+    except ValidationError as err:
+        violation = err
 
     for note in notes:
         print(f"ok: {note}")
-    for err in violations:
-        print(f"violation [{err.code}]: {err}")
-    if violations:
-        print(f"invalid: {len(violations)} violation(s)")
+    if violation is not None:
+        print(f"violation [{violation.code}]: {violation}")
+        print("invalid: 1 violation(s)")
         return 2
     print("valid")
     return 0

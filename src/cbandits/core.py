@@ -1,5 +1,8 @@
 """Bounded-support outcome distributions, bandit problem instances, the
-one RNG addressing function, and the shared input validators.
+one RNG addressing function, and the one set of input validators:
+:func:`_section` checks a config mapping's keys, :func:`_as_float` and
+:func:`_as_int` a number's type and range, and :func:`_increasing_steps`
+a list of steps.
 
 Every distribution here has support inside the unit interval and a
 closed-form mean and variance.  Sampling is inverse-transform only: a
@@ -33,7 +36,6 @@ __all__ = [
     "Beta",
     "Arm",
     "ProblemInstance",
-    "validate_instance",
     "distribution_from_config",
     "instance_from_config",
     "step_uniforms",
@@ -49,8 +51,6 @@ PROBABILITY_TOL = 1e-12
 # arm uniform, reward uniform, cost uniform.  One Philox counter block
 # yields exactly four doubles, so one counter block == one replication-step.
 DRAWS_PER_STEP = 4
-
-_MAX_SEED = 2**64
 
 ArrayLike = Union[float, np.ndarray]
 # (value, probability) pairs; the probability is a Fraction in exact mode.
@@ -78,25 +78,75 @@ class ValidationError(ValueError):
 
 
 def _as_float(
-    value, code: str, what: str, minimum: float = -math.inf, strict: bool = False
+    value,
+    code: str,
+    what: str,
+    minimum: float = -math.inf,
+    strict: bool = False,
+    maximum: float = math.inf,
 ) -> float:
     """``value`` as a finite float that is at least ``minimum`` (greater
-    than it when ``strict``).  Any real number but a bool is accepted."""
+    than it when ``strict``) and at most ``maximum``.  Any real number but
+    a bool is accepted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(code, f"{what} must be a real number, got {value!r}")
     out = float(value)
-    if not math.isfinite(out) or out < minimum or (strict and out == minimum):
-        bound = f" and {'>' if strict else '>='} {minimum!r}" if minimum > -math.inf else ""
-        raise ValidationError(code, f"{what} must be finite{bound}, got {out!r}")
+    if not math.isfinite(out) or out < minimum or (strict and out == minimum) or out > maximum:
+        if maximum < math.inf:
+            bound = f" lie in {'(' if strict else '['}{minimum:g}, {maximum:g}]"
+        elif minimum > -math.inf:
+            bound = f" be finite and {'>' if strict else '>='} {minimum!r}"
+        else:
+            bound = " be finite"
+        raise ValidationError(code, f"{what} must{bound}, got {out!r}")
     return out
 
 
-def _as_int(value, code: str, what: str, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``.  Any integral number
-    but a bool is accepted, numpy integers included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValidationError(code, f"{what} must be an integer >= {minimum}, got {value!r}")
+def _as_int(value, code: str, what: str, minimum: int, maximum: float = math.inf) -> int:
+    """``value`` as an int in [``minimum``, ``maximum``].  Any integral
+    number but a bool is accepted, numpy integers included."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or not minimum <= value <= maximum
+    ):
+        bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ValidationError(code, f"{what} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def _increasing_steps(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a non-empty, strictly increasing tuple of step
+    indices, each an integer >= 1."""
+    steps = tuple(_as_int(t, "bad_config", what, 1) for t in values)
+    if not steps or any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValidationError(
+            "bad_config", f"{what} must be non-empty and strictly increasing, got {list(steps)}"
+        )
+    return steps
+
+
+def _section(
+    config, path: str, required: Iterable[str] = (), optional: Iterable[str] = ()
+) -> Mapping:
+    """``config`` if it is a mapping whose keys are all ``required`` or
+    ``optional`` and include every ``required`` one; ``path`` names it in
+    the error."""
+    if not isinstance(config, Mapping):
+        raise ValidationError(
+            "bad_config", f"{path} must be a mapping, got {type(config).__name__}"
+        )
+    allowed = set(required) | set(optional)
+    for key in config:
+        if key not in allowed:
+            raise ValidationError(
+                "unknown_key",
+                f"unknown key {key!r} under {path} (allowed: {sorted(allowed)})",
+            )
+    for key in required:
+        if key not in config:
+            raise ValidationError("bad_config", f"{path} is missing key {key!r}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +261,7 @@ class Bernoulli(Distribution):
     kind = "bernoulli"
 
     def __post_init__(self):
-        p = _as_float(self.p, "bad_parameter", "bernoulli p")
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError("bad_parameter", f"bernoulli p {p} outside [0, 1]")
+        p = _as_float(self.p, "bad_parameter", "bernoulli p", 0.0, maximum=1.0)
         object.__setattr__(self, "p", p)
 
     @property
@@ -347,12 +395,8 @@ class Beta(Distribution):
     kind = "beta"
 
     def __post_init__(self):
-        a = _as_float(self.shape1, "bad_parameter", "beta shape1")
-        b = _as_float(self.shape2, "bad_parameter", "beta shape2")
-        if a <= 0.0 or b <= 0.0:
-            raise ValidationError(
-                "bad_parameter", f"beta shapes must be positive, got ({a}, {b})"
-            )
+        a = _as_float(self.shape1, "bad_parameter", "beta shape1", 0.0, strict=True)
+        b = _as_float(self.shape2, "bad_parameter", "beta shape2", 0.0, strict=True)
         object.__setattr__(self, "shape1", a)
         object.__setattr__(self, "shape2", b)
 
@@ -395,38 +439,20 @@ _DISTRIBUTION_KINDS = {
 }
 
 
-def _require_mapping(obj, path: str) -> Mapping:
-    if not isinstance(obj, Mapping):
-        raise ValidationError("bad_config", f"{path} must be a mapping, got {type(obj).__name__}")
-    return obj
-
-
-def _check_keys(mapping: Mapping, allowed: Iterable[str], path: str) -> None:
-    allowed = set(allowed)
-    for key in mapping:
-        if key not in allowed:
-            raise ValidationError(
-                "unknown_key",
-                f"unknown key {key!r} under {path} (allowed: {sorted(allowed)})",
-            )
-
-
 def _from_kind_table(config, path: str, kinds: Mapping):
     """Build ``cls(**fields)`` from ``{"kind": ..., <keys>}`` for the kind's
     ``(cls, keys, fields)`` entry in ``kinds``.  Sequences become tuples."""
-    config = _require_mapping(config, path)
-    kind = config.get("kind")
-    if kind not in kinds:
+    # Every key passes the first check: the kind decides which are allowed.
+    kind = _section(config, path, optional=config).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
         raise ValidationError(
             "unknown_kind",
             f"{path}.kind must be one of {sorted(kinds)}, got {kind!r}",
         )
     cls, keys, fields = kinds[kind]
-    _check_keys(config, ("kind",) + keys, path)
+    _section(config, path, required=keys, optional=("kind",))
     kwargs = {}
     for key, field_name in zip(keys, fields):
-        if key not in config:
-            raise ValidationError("bad_config", f"{path} is missing key {key!r}")
         value = config[key]
         if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
             value = tuple(value)
@@ -451,26 +477,16 @@ def distribution_from_config(config: Mapping, path: str = "distribution") -> Dis
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Arm:
     """A bandit arm: a reward distribution paired with a cost distribution."""
 
-    __slots__ = ("reward", "cost")
+    reward: Distribution
+    cost: Distribution
 
-    def __init__(self, reward: Distribution, cost: Distribution):
-        if not isinstance(reward, Distribution) or not isinstance(cost, Distribution):
+    def __post_init__(self):
+        if not isinstance(self.reward, Distribution) or not isinstance(self.cost, Distribution):
             raise ValidationError("bad_config", "arm needs reward and cost distributions")
-        self.reward = reward
-        self.cost = cost
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Arm)
-            and self.reward == other.reward
-            and self.cost == other.cost
-        )
-
-    def __repr__(self):
-        return f"Arm(reward={self.reward!r}, cost={self.cost!r})"
 
     def to_config(self) -> dict:
         return {"reward": self.reward.to_config(), "cost": self.cost.to_config()}
@@ -502,7 +518,20 @@ class ProblemInstance:
             "constraint_level",
             _as_float(self.constraint_level, "bad_parameter", "constraint_level"),
         )
-        validate_instance(self)
+        if len(self.arms) < 2:
+            raise ValidationError(
+                "too_few_arms", f"an instance needs at least 2 arms, got {len(self.arms)}"
+            )
+        for i, arm in enumerate(self.arms):
+            if not isinstance(arm, Arm):
+                raise ValidationError("bad_config", f"arms[{i}] is not an Arm")
+        costs = self.cost_means()
+        if not np.any(costs <= self.constraint_level):
+            raise ValidationError(
+                "empty_feasible_set",
+                f"no arm has mean cost <= constraint level {self.constraint_level} "
+                f"(mean costs: {costs.tolist()})",
+            )
 
     @property
     def num_arms(self) -> int:
@@ -521,44 +550,16 @@ class ProblemInstance:
         }
 
 
-def validate_instance(instance: ProblemInstance) -> None:
-    """Check instance-level invariants, raising :class:`ValidationError`."""
-    if len(instance.arms) < 2:
-        raise ValidationError(
-            "too_few_arms",
-            f"an instance needs at least 2 arms, got {len(instance.arms)}",
-        )
-    for i, arm in enumerate(instance.arms):
-        if not isinstance(arm, Arm):
-            raise ValidationError("bad_config", f"arms[{i}] is not an Arm")
-    costs = instance.cost_means()
-    if not np.any(costs <= instance.constraint_level):
-        raise ValidationError(
-            "empty_feasible_set",
-            f"no arm has mean cost <= constraint level {instance.constraint_level} "
-            f"(mean costs: {costs.tolist()})",
-        )
-
-
 def instance_from_config(config: Mapping, path: str = "instance") -> ProblemInstance:
     """Build a :class:`ProblemInstance` from its config mapping."""
-    config = _require_mapping(config, path)
-    _check_keys(config, ("arms", "constraint_level"), path)
-    if "constraint_level" not in config:
-        raise ValidationError("bad_config", f"{path} is missing key 'constraint_level'")
-    if "arms" not in config:
-        raise ValidationError("bad_config", f"{path} is missing key 'arms'")
+    config = _section(config, path, required=("constraint_level", "arms"))
     arms_config = config["arms"]
     if not isinstance(arms_config, Sequence) or isinstance(arms_config, (str, bytes)):
         raise ValidationError("bad_config", f"{path}.arms must be a list")
     arms = []
     for i, arm_config in enumerate(arms_config):
         arm_path = f"{path}.arms[{i}]"
-        arm_config = _require_mapping(arm_config, arm_path)
-        _check_keys(arm_config, ("reward", "cost"), arm_path)
-        for part in ("reward", "cost"):
-            if part not in arm_config:
-                raise ValidationError("bad_config", f"{arm_path} is missing key {part!r}")
+        arm_config = _section(arm_config, arm_path, required=("reward", "cost"))
         arms.append(
             Arm(
                 distribution_from_config(arm_config["reward"], f"{arm_path}.reward"),
@@ -575,11 +576,7 @@ def instance_from_config(config: Mapping, path: str = "instance") -> ProblemInst
 
 def experiment_key(master_seed: int) -> np.ndarray:
     """Derive the 128-bit counter-based stream key for an experiment."""
-    seed = _as_int(master_seed, "bad_parameter", "master_seed", 0)
-    if seed >= _MAX_SEED:
-        raise ValidationError(
-            "bad_parameter", f"master_seed must be in [0, 2**64), got {seed}"
-        )
+    seed = _as_int(master_seed, "bad_parameter", "master_seed", 0, 2**64 - 1)
     return SeedSequence(seed).generate_state(2, np.uint64)
 
 
@@ -596,9 +593,7 @@ def step_uniforms(master_seed: int, rep_lo: int, rep_hi: int) -> Iterator[np.nda
     step; between steps it skips the other replications' counters.
     """
     rep_lo = _as_int(rep_lo, "bad_parameter", "rep_lo", 0)
-    rep_hi = _as_int(rep_hi, "bad_parameter", "rep_hi", rep_lo + 1)
-    if rep_hi > 2**64:
-        raise ValidationError("bad_parameter", f"rep_hi must be at most 2**64, got {rep_hi}")
+    rep_hi = _as_int(rep_hi, "bad_parameter", "rep_hi", rep_lo + 1, 2**64)
     n_reps = rep_hi - rep_lo
     bit_generator = Philox(key=experiment_key(master_seed), counter=(1 << 64) + rep_lo)
     generator = Generator(bit_generator)

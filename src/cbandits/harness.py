@@ -42,6 +42,7 @@ from cbandits.core import (
     _as_float,
     _as_int,
     _betaincinv,
+    _increasing_steps,
     experiment_key,
     step_uniforms,
 )
@@ -106,26 +107,19 @@ class ExperimentConfig:
             raise ValidationError("bad_config", "instance must be a ProblemInstance")
         if not isinstance(self.schedule, EpsilonSchedule):
             raise ValidationError("bad_config", "schedule must be an EpsilonSchedule")
-        checkpoints = tuple(_as_int(t, "bad_config", "checkpoints", 1) for t in self.checkpoints)
-        if not checkpoints:
-            raise ValidationError("bad_config", "checkpoints must be non-empty")
-        if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-            raise ValidationError(
-                "bad_config", f"checkpoints must be strictly increasing, got {checkpoints}"
-            )
+        checkpoints = _increasing_steps(self.checkpoints, "checkpoints")
         # The schedule must cover every step, or a run fails midway.
         self.schedule.epsilon(checkpoints[-1])
         deltas = tuple(_as_float(d, "bad_config", "deltas", 0.0) for d in self.deltas)
         if not deltas:
             raise ValidationError("bad_config", "deltas must be non-empty")
         replications = _as_int(self.replications, "bad_config", "replications", 1)
-        master_seed = _as_int(self.master_seed, "bad_parameter", "master_seed", 0)
-        experiment_key(master_seed)
+        experiment_key(self.master_seed)
         _check_strategy(self.policy, self.tie_rule)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "replications", replications)
-        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "master_seed", int(self.master_seed))
 
     @property
     def horizon(self) -> int:
@@ -175,11 +169,7 @@ class MonteCarloEstimate:
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, clipped to [0, 1]."""
     n = _as_int(n, "bad_parameter", "n", 1)
-    successes = _as_int(successes, "bad_parameter", "successes", 0)
-    if successes > n:
-        raise ValidationError(
-            "bad_parameter", f"successes must lie in [0, {n}], got {successes}"
-        )
+    successes = _as_int(successes, "bad_parameter", "successes", 0, n)
     z = _as_float(z, "bad_parameter", "z", 0.0, strict=True)
     p = successes / n
     z2 = z * z
@@ -282,10 +272,8 @@ def run_chunk(
       sums, and ``x + 0.0 == x`` for every sum (sums start at +0.0 and
       values are nonnegative), so the arms not pulled keep their bits.
     """
-    if not 0 <= rep_lo < rep_hi <= config.replications:
-        raise ValidationError(
-            "bad_parameter", f"bad replication range [{rep_lo}, {rep_hi})"
-        )
+    # step_uniforms checks 0 <= rep_lo < rep_hi.
+    _as_int(rep_hi, "bad_parameter", "rep_hi", 1, config.replications)
     instance = config.instance
     n_arms = instance.num_arms
     n_reps = rep_hi - rep_lo

@@ -125,12 +125,9 @@ class ConstantSchedule(EpsilonSchedule):
     kind = "constant"
 
     def __post_init__(self):
-        v = _as_float(self.value, "bad_schedule", "constant schedule epsilon")
-        if not 0.0 < v <= 1.0:
-            raise ValidationError(
-                "bad_schedule",
-                f"schedule epsilon must lie in (0, 1], got {v}",
-            )
+        v = _as_float(
+            self.value, "bad_schedule", "schedule epsilon", 0.0, strict=True, maximum=1.0
+        )
         object.__setattr__(self, "value", v)
 
     def epsilon(self, t: int) -> float:
@@ -214,16 +211,13 @@ class ExplicitSchedule(EpsilonSchedule):
 
     def __post_init__(self):
         values = tuple(
-            _as_float(v, "bad_schedule", "explicit schedule value") for v in self.values
+            _as_float(
+                v, "bad_schedule", f"schedule epsilon at step {t}", 0.0, strict=True, maximum=1.0
+            )
+            for t, v in enumerate(self.values, 1)
         )
         if not values:
             raise ValidationError("bad_schedule", "explicit schedule needs values")
-        for i, v in enumerate(values):
-            if not 0.0 < v <= 1.0:
-                raise ValidationError(
-                    "bad_schedule",
-                    f"schedule epsilon must lie in (0, 1], got {v} at step {i + 1}",
-                )
         object.__setattr__(self, "values", values)
 
     def _check_step(self, t: int) -> int:

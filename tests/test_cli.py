@@ -367,17 +367,20 @@ class TestBound:
             assert cells["vacuous"] == "true"
             assert cells["clamped"] == "0.0"
 
-    def test_descending_grid_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        ("grid", "needle"),
+        [
+            pytest.param(["1000", "100"], "strictly increasing", id="descending"),
+            pytest.param(["100", "100"], "strictly increasing", id="duplicate"),
+            pytest.param(["0", "5"], ">= 1", id="zero"),
+        ],
+    )
+    def test_bad_grid_rejected(self, capsys, grid, needle):
         code = main(["bound", "--num-arms", "2", "--delta", "0.1", "--rho", "0.3",
-                     "--k", "40", "--t-grid", "1000", "100"])
+                     "--k", "40", "--t-grid", *grid])
         assert code == 2
-        assert "strictly increasing" in capsys.readouterr().err
-
-    def test_duplicate_grid_rejected(self, capsys):
-        code = main(["bound", "--num-arms", "2", "--delta", "0.1", "--rho", "0.3",
-                     "--k", "40", "--t-grid", "100", "100"])
-        assert code == 2
-        assert "strictly increasing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error [bad_config]" in err and needle in err
 
     def test_exactly_one_schedule_required(self, capsys):
         code = main(["bound", "--num-arms", "2", "--delta", "0.1", "--rho", "0.3",
@@ -593,6 +596,60 @@ class TestValidate:
         code = main(["validate", "--config", config_path])
         assert code == 0
         assert "incomplete" in capsys.readouterr().out
+
+
+def edited(edit):
+    """``TWO_ARM_CONFIG`` as YAML, after ``edit`` changes its parsed mapping."""
+    config = yaml.safe_load(TWO_ARM_CONFIG)
+    edit(config)
+    return yaml.safe_dump(config)
+
+
+def arm(config, i):
+    return config["instance"]["arms"][i]
+
+
+# One malformed config shape per row: text, error code, and a part of the
+# message naming the fault.
+REJECTED_CONFIGS = [
+    pytest.param("- 1\n- 2\n", "bad_config", "mapping", id="not-a-mapping"),
+    pytest.param(edited(lambda c: c.pop("instance")), "bad_config", "'instance'",
+                 id="missing-instance"),
+    pytest.param(edited(lambda c: c.pop("schedule")), "bad_config", "'schedule'",
+                 id="missing-schedule"),
+    pytest.param(edited(lambda c: c.update(strategy={"kind": "uniform", "speed": 2})),
+                 "unknown_key", "'speed'", id="strategy-unknown-key"),
+    pytest.param(edited(lambda c: c["experiment"].update(horizon=10)),
+                 "unknown_key", "'horizon'", id="experiment-unknown-key"),
+    pytest.param(edited(lambda c: c.update(output={"plots": "p.png"})),
+                 "unknown_key", "'plots'", id="output-unknown-key"),
+    pytest.param(edited(lambda c: arm(c, 0).update(weight=1)),
+                 "unknown_key", "'weight'", id="arm-unknown-key"),
+    pytest.param(edited(lambda c: arm(c, 0)["reward"].update(q=0.1)),
+                 "unknown_key", "'q'", id="distribution-unknown-key"),
+    pytest.param(edited(lambda c: arm(c, 0)["reward"].update(kind=["bernoulli"])),
+                 "unknown_kind", "kind", id="list-kind"),
+    pytest.param(edited(lambda c: arm(c, 1).pop("cost")), "bad_config", "'cost'",
+                 id="arm-missing-cost"),
+    pytest.param(edited(lambda c: c["instance"].update(arms={"first": arm(c, 0)})),
+                 "bad_config", "arms", id="arms-not-a-list"),
+    pytest.param(edited(lambda c: c["experiment"].update(checkpoints=25)),
+                 "bad_config", "checkpoints", id="checkpoints-not-a-list"),
+]
+
+
+@pytest.mark.parametrize(("text", "code", "needle"), REJECTED_CONFIGS)
+def test_rejected_config(tmp_path, capsys, text, code, needle):
+    config_path = write_config(tmp_path, text)
+    assert main(["validate", "--config", config_path]) == 2
+    out = capsys.readouterr().out
+    assert f"violation [{code}]" in out and needle in out
+    assert out.splitlines()[-1] == "invalid: 1 violation(s)"
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", config_path, "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_dir.exists()
+    assert f"config error [{code}]" in captured.err and needle in captured.err
 
 
 class TestEntryPoint:

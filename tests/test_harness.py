@@ -600,6 +600,15 @@ class TestConfigValidation:
         echo = yaml.safe_load(yaml.safe_dump(config.to_config()))
         assert echo["experiment"]["master_seed"] == 7
 
+    def test_equal_configs_hash_equal(self):
+        # Arms, instances and configs are values: equal ones hash equal.
+        a, b = base_config(instance=mixed_instance()), base_config(instance=mixed_instance())
+        assert a.instance is not b.instance and a == b
+        assert hash(a.instance.arms[1]) == hash(b.instance.arms[1])
+        assert hash(a.instance) == hash(b.instance)
+        assert hash(a) == hash(b)
+        assert len({a, b, base_config()}) == 2
+
     def test_run_chunk_validates_range(self):
         config = base_config()
         with pytest.raises(ValidationError):
