@@ -56,8 +56,8 @@ def exploration_mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
     ``schedule.cumulative(t)`` divided by 2 * num_arms.  The partial sum
     of switching probabilities is the double nearest the mathematical
     sum, the same on every platform (for the inverse-time schedule, an
-    Euler-Maclaurin evaluation with relative error below 1e-40 before
-    its one rounding); never a logarithmic surrogate.  The division is
+    integer fixed-point evaluation with relative error below 2**-134,
+    rounded once); never a logarithmic surrogate.  The division is
     exact when num_arms is a power of two and otherwise rounds once more.
     Satisfies 0 < x_t <= t / (2 * num_arms).
     """
@@ -220,14 +220,19 @@ def closed_form_lower_bound(
     rho: float,
     t: float,
     variant: str = VARIANT_RHO_SQUARED,
+    exponents: tuple[float, float] | None = None,
 ) -> ClosedFormReport:
     """Closed-form relaxation of the selection bound for the schedule
     min(1, k/t), requiring k > 1 and t >= k.
 
     The ``rho_squared`` variant never exceeds the exact bound; the
-    ``rho_linear`` variant can when rho < 1.
+    ``rho_linear`` variant can when rho < 1.  ``exponents``, when given,
+    is ``closed_form_exponents(k, num_arms, delta, rho, variant)``, which
+    a caller evaluating many t computes once.
     """
-    alpha, log_beta = closed_form_exponents(k, num_arms, delta, rho, variant)
+    if exponents is None:
+        exponents = closed_form_exponents(k, num_arms, delta, rho, variant)
+    alpha, log_beta = exponents
     k = float(k)
     t = _as_float(t, "bad_parameter", "t")
     if t < k:

@@ -22,6 +22,7 @@ from cbandits.analysis import exact_selection_probability, feasibility_profile
 from cbandits.bounds import (
     VARIANT_RHO_LINEAR,
     VARIANT_RHO_SQUARED,
+    closed_form_exponents,
     closed_form_lower_bound,
     selection_lower_bound,
 )
@@ -29,6 +30,7 @@ from cbandits.core import (
     Beta,
     ValidationError,
     _as_int,
+    _as_tuple,
     _increasing_steps,
     _section,
     instance_from_config,
@@ -107,8 +109,7 @@ def _parse_sections(top: Mapping) -> dict:
 
     experiment_raw = _section(top.get("experiment", {}), "experiment", optional=_EXPERIMENT_KEYS)
     for key in ("checkpoints", "deltas"):
-        if not isinstance(experiment_raw.get(key, []), (list, tuple)):
-            raise ValidationError("bad_config", f"experiment.{key} must be a list")
+        _as_tuple(experiment_raw.get(key, []), "bad_config", f"experiment.{key}")
 
     output_raw = _section(top.get("output", {}), "output", optional=_OUTPUT_KEYS)
     output = dict(DEFAULT_OUTPUT)
@@ -131,15 +132,13 @@ def _parse_sections(top: Mapping) -> dict:
     }
 
 
-def experiment_from_mapping(top: Mapping) -> tuple[ExperimentConfig, dict]:
-    """Build a fully-validated experiment plus output paths from a parsed
-    config mapping.  Defaults are filled in here so the resolved echo is
-    always explicit."""
-    parts = _parse_sections(top)
+def _experiment_config(parts: dict) -> ExperimentConfig:
+    """The experiment of sections that :func:`_parse_sections` parsed.
+    Defaults are filled in here so the resolved echo is always explicit."""
     experiment_raw = _section(
         parts["experiment_raw"], "experiment", ("checkpoints",), _EXPERIMENT_KEYS
     )
-    config = ExperimentConfig(
+    return ExperimentConfig(
         instance=parts["instance"],
         schedule=parts["schedule"],
         checkpoints=tuple(experiment_raw["checkpoints"]),
@@ -149,7 +148,13 @@ def experiment_from_mapping(top: Mapping) -> tuple[ExperimentConfig, dict]:
         policy=parts["policy"],
         tie_rule=parts["tie_rule"],
     )
-    return config, parts["output"]
+
+
+def experiment_from_mapping(top: Mapping) -> tuple[ExperimentConfig, dict]:
+    """Build a fully-validated experiment plus output paths from a parsed
+    config mapping."""
+    parts = _parse_sections(top)
+    return _experiment_config(parts), parts["output"]
 
 
 def _apply_overrides(top, args: argparse.Namespace) -> dict:
@@ -230,6 +235,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
         VARIANT_RHO_LINEAR: (VARIANT_RHO_LINEAR,),
     }[args.variant]
     columns = BOUNDS_CSV_COLUMNS + tuple(f"closed_form_{v}" for v in variants)
+    inverse_time = isinstance(schedule, InverseTimeSchedule)
+    exponents = {
+        v: closed_form_exponents(schedule.k, args.num_arms, args.delta, args.rho, v)
+        for v in variants
+        if inverse_time
+    }
 
     lines = [",".join(columns)]
     for t in grid:
@@ -239,9 +250,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
         fields = dict(vars(report), raw=report.raw_product)
         row = [fields[column] for column in BOUNDS_CSV_COLUMNS]
         for variant in variants:
-            if isinstance(schedule, InverseTimeSchedule) and t >= schedule.k:
+            if inverse_time and t >= schedule.k:
                 closed = closed_form_lower_bound(
-                    schedule.k, args.num_arms, args.delta, args.rho, float(t), variant
+                    schedule.k, args.num_arms, args.delta, args.rho, float(t), variant,
+                    exponents[variant],
                 )
                 row.append(closed.clamped)
             else:
@@ -274,8 +286,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     notes, violation = [], None
     try:
-        top = load_config_file(args.config)
-        parts = _parse_sections(top)
+        parts = _parse_sections(load_config_file(args.config))
         notes.append(f"instance: {parts['instance'].num_arms} arms, "
                      f"constraint level {parts['instance'].constraint_level}")
         profile = feasibility_profile(parts["instance"])
@@ -287,7 +298,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if profile.eta == 0.0:
             notes.append("note: eta = 0, an arm sits exactly on the budget")
         if "checkpoints" in parts["experiment_raw"]:
-            experiment_from_mapping(top)
+            _experiment_config(parts)
             notes.append("experiment: valid")
         else:
             notes.append("experiment: no checkpoints declared, run config incomplete")

@@ -1,8 +1,8 @@
 """Bounded-support outcome distributions, bandit problem instances, the
 one RNG addressing function, and the one set of input validators:
 :func:`_section` checks a config mapping's keys, :func:`_as_float` and
-:func:`_as_int` a number's type and range, and :func:`_increasing_steps`
-a list of steps.
+:func:`_as_int` a number's type and range, :func:`_as_tuple` that a
+value is a list, and :func:`_increasing_steps` a list of steps.
 
 Every distribution here has support inside the unit interval and a
 closed-form mean and variance.  Sampling is inverse-transform only: a
@@ -88,9 +88,12 @@ def _as_float(
     """``value`` as a finite float that is at least ``minimum`` (greater
     than it when ``strict``) and at most ``maximum``.  Any real number but
     a bool is accepted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) is float:  # the common case, ahead of the ABC checks
+        out = value
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(code, f"{what} must be a real number, got {value!r}")
-    out = float(value)
+    else:
+        out = float(value)
     if not math.isfinite(out) or out < minimum or (strict and out == minimum) or out > maximum:
         if maximum < math.inf:
             bound = f" lie in {'(' if strict else '['}{minimum:g}, {maximum:g}]"
@@ -105,6 +108,8 @@ def _as_float(
 def _as_int(value, code: str, what: str, minimum: int, maximum: float = math.inf) -> int:
     """``value`` as an int in [``minimum``, ``maximum``].  Any integral
     number but a bool is accepted, numpy integers included."""
+    if type(value) is int and minimum <= value <= maximum:
+        return value  # the common case, ahead of the ABC checks
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Integral)
@@ -115,10 +120,22 @@ def _as_int(value, code: str, what: str, minimum: int, maximum: float = math.inf
     return int(value)
 
 
-def _increasing_steps(values: Iterable, what: str) -> tuple[int, ...]:
+def _as_tuple(value, code: str, what: str) -> tuple:
+    """``value`` as a tuple.  Any sequence but a string is accepted, numpy
+    arrays of one or more dimensions included."""
+    if (isinstance(value, np.ndarray) and value.ndim) or (
+        isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+    ):
+        return tuple(value)
+    raise ValidationError(code, f"{what} must be a list, got {value!r}")
+
+
+def _increasing_steps(values: Sequence, what: str) -> tuple[int, ...]:
     """``values`` as a non-empty, strictly increasing tuple of step
     indices, each an integer >= 1."""
-    steps = tuple(_as_int(t, "bad_config", what, 1) for t in values)
+    steps = tuple(
+        _as_int(t, "bad_config", what, 1) for t in _as_tuple(values, "bad_config", what)
+    )
     if not steps or any(b <= a for a, b in zip(steps, steps[1:])):
         raise ValidationError(
             "bad_config", f"{what} must be non-empty and strictly increasing, got {list(steps)}"
@@ -305,11 +322,12 @@ class Discrete(Distribution):
 
     def __post_init__(self):
         values = tuple(
-            _as_float(v, "bad_parameter", "discrete value") for v in self.values
+            _as_float(v, "bad_parameter", "discrete value")
+            for v in _as_tuple(self.values, "bad_parameter", "discrete values")
         )
         probs = tuple(
             _as_float(p, "bad_parameter", "discrete probability")
-            for p in self.probabilities
+            for p in _as_tuple(self.probabilities, "bad_parameter", "discrete probabilities")
         )
         if len(values) == 0:
             raise ValidationError("bad_parameter", "discrete needs at least one value")
@@ -441,7 +459,7 @@ _DISTRIBUTION_KINDS = {
 
 def _from_kind_table(config, path: str, kinds: Mapping):
     """Build ``cls(**fields)`` from ``{"kind": ..., <keys>}`` for the kind's
-    ``(cls, keys, fields)`` entry in ``kinds``.  Sequences become tuples."""
+    ``(cls, keys, fields)`` entry in ``kinds``."""
     # Every key passes the first check: the kind decides which are allowed.
     kind = _section(config, path, optional=config).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
@@ -451,13 +469,7 @@ def _from_kind_table(config, path: str, kinds: Mapping):
         )
     cls, keys, fields = kinds[kind]
     _section(config, path, required=keys, optional=("kind",))
-    kwargs = {}
-    for key, field_name in zip(keys, fields):
-        value = config[key]
-        if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-            value = tuple(value)
-        kwargs[field_name] = value
-    return cls(**kwargs)
+    return cls(**{field_name: config[key] for key, field_name in zip(keys, fields)})
 
 
 def distribution_from_config(config: Mapping, path: str = "distribution") -> Distribution:
@@ -553,11 +565,8 @@ class ProblemInstance:
 def instance_from_config(config: Mapping, path: str = "instance") -> ProblemInstance:
     """Build a :class:`ProblemInstance` from its config mapping."""
     config = _section(config, path, required=("constraint_level", "arms"))
-    arms_config = config["arms"]
-    if not isinstance(arms_config, Sequence) or isinstance(arms_config, (str, bytes)):
-        raise ValidationError("bad_config", f"{path}.arms must be a list")
     arms = []
-    for i, arm_config in enumerate(arms_config):
+    for i, arm_config in enumerate(_as_tuple(config["arms"], "bad_config", f"{path}.arms")):
         arm_path = f"{path}.arms[{i}]"
         arm_config = _section(arm_config, arm_path, required=("reward", "cost"))
         arms.append(

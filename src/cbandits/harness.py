@@ -41,6 +41,7 @@ from cbandits.core import (
     ValidationError,
     _as_float,
     _as_int,
+    _as_tuple,
     _betaincinv,
     _increasing_steps,
     experiment_key,
@@ -110,7 +111,10 @@ class ExperimentConfig:
         checkpoints = _increasing_steps(self.checkpoints, "checkpoints")
         # The schedule must cover every step, or a run fails midway.
         self.schedule.epsilon(checkpoints[-1])
-        deltas = tuple(_as_float(d, "bad_config", "deltas", 0.0) for d in self.deltas)
+        deltas = tuple(
+            _as_float(d, "bad_config", "deltas", 0.0)
+            for d in _as_tuple(self.deltas, "bad_config", "deltas")
+        )
         if not deltas:
             raise ValidationError("bad_config", "deltas must be non-empty")
         replications = _as_int(self.replications, "bad_config", "replications", 1)

@@ -14,8 +14,8 @@ schedule is stored over the horizon.
 
 from __future__ import annotations
 
-import decimal
 import fractions
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -24,6 +24,7 @@ from cbandits.core import (
     ValidationError,
     _as_float,
     _as_int,
+    _as_tuple,
     _from_kind_table,
 )
 
@@ -79,42 +80,103 @@ class EpsilonSchedule:
         raise NotImplementedError
 
 
-# Euler's constant to 72 significant digits.
-_EULER_GAMMA = decimal.Decimal(
-    "0.577215664901532860606512090082402431042159335939923598805767234884867727"
+# Harmonic numbers in fixed point: an int X stands for X / 2**_FIXED_BITS,
+# and one unit is 2**-_FIXED_BITS.  Every floor division below is off by
+# less than one unit.
+_FIXED_BITS = 200
+_FIXED_ONE = 1 << _FIXED_BITS
+
+
+def _atanh2(a: int, b: int) -> int:
+    """2 atanh(a/b) = ln((b + a) / (b - a)) in fixed point, for 0 <= a/b <= 1/3.
+
+    With z = a/b, the series 2 * sum z^(2i+1) / (2i+1) runs on z and z^2
+    truncated to units, until the power term truncates to 0.  Every
+    truncation is downward, so the result is never above the true value,
+    and it is below it by less than 4N + 5 units for N terms: each power
+    term stays within 2 units of z^(2i+1), so each summand loses less than
+    2 units, and the omitted tail (power term under 2 units, ratio
+    z^2 <= 1/9) is under 2.25 units; the sum is then doubled.  N <= 64 for
+    z <= 1/3 and N <= 15 for z < 1/129.
+    """
+    term = (a << _FIXED_BITS) // b
+    square = ((a * a) << _FIXED_BITS) // (b * b)
+    total, i = 0, 1
+    while term:
+        total += term // i
+        term = (term * square) >> _FIXED_BITS
+        i += 2
+    return 2 * total
+
+
+# ln 2 (below by < 261 units) and ln j for j in [64, 128), chained as
+# ln(j + 1) = ln j + 2 atanh(1 / (2j + 1)) from ln 64 = 6 ln 2 (below by
+# < 6 * 261 + 63 * 65 = 5661 units).
+_LN2 = _atanh2(1, 3)
+_LN_J = tuple(
+    itertools.accumulate((_atanh2(1, 2 * j + 1) for j in range(64, 127)), initial=6 * _LN2)
 )
+
+
+def _ln(n: int) -> int:
+    """ln n in fixed point for n >= 64, below the true value by less than
+    261 e + 5726 units, where e = n.bit_length() - 7.
+
+    n = c (1 + x) with c = j 2^e, j in [64, 128) the leading seven bits of
+    n, so 0 <= x < 1/64, and ln n = e ln 2 + ln j + ln(1 + x).  The terms
+    are below by less than e * 261, 5661 and 65 units: ln(1 + x) is
+    2 atanh((n - c) / (n + c)), whose argument is below 1/129.
+    """
+    e = n.bit_length() - 7
+    j = n >> e
+    c = j << e
+    return e * _LN2 + _LN_J[j - 64] + _atanh2(n - c, n + c)
+
+
+# Euler's constant from its 72 significant digits, which are within
+# 1e-72 of it; one unit is about 6.2e-61, so this is off by < 2 units.
+_EULER_GAMMA = (
+    int("577215664901532860606512090082402431042159335939923598805767234884867727")
+    << _FIXED_BITS
+) // 10**72
 # Euler-Maclaurin coefficients B_2j / (2j), j = 1..10, of the harmonic numbers.
 _HARMONIC_SERIES = (
     (1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132),
     (-691, 32760), (1, 12), (-3617, 8160), (43867, 14364), (-174611, 6600),
 )
 _HARMONIC_DIRECT_BELOW = 100
-_HARMONIC_CONTEXT = decimal.Context(prec=60)
-# Relative error bound of the decimal evaluation in InverseTimeSchedule.
-_HARMONIC_SLACK_DIGITS = 40
+# H_n for n < 100 as the sum of 2**_FIXED_BITS // i (below by < n units).
+_HARMONIC_DIRECT = tuple(
+    itertools.accumulate(
+        (_FIXED_ONE // i for i in range(1, _HARMONIC_DIRECT_BELOW)), initial=0
+    )
+)
 
 
-def _harmonic(n: int) -> decimal.Decimal:
-    """H_n = sum of 1/i for i in 1..n, with absolute error below 3e-42.
+def _harmonic(n: int) -> int:
+    """H_n = sum of 1/i for i in 1..n in fixed point, for n >= 0.
 
-    Below 100 the terms are added directly.  From 100 on, the
+    It is within 2**63 + 2**9 * n.bit_length() units (about 2**-137) of
+    H_n.  Below 100 the terms are added directly.  From 100 on, the
     Euler-Maclaurin expansion
 
         H_n = ln n + gamma + 1/(2n) - sum_{j=1}^{10} B_2j / (2j n^2j)
 
     is used.  Its remainder lies between 0 and the first omitted term,
-    B_22 / (22 n^22) < 282 / n^22, which is below 3e-42 for n >= 100.
-    Must be called inside ``decimal.localcontext(_HARMONIC_CONTEXT)``.
+    -B_22 / (22 n^22), of magnitude below 282 / n^22 < 3e-42 < 2**62.1
+    units for n >= 100.  The other errors are ln n, below by less than
+    261 e + 5726 units (see :func:`_ln`), gamma < 2 units, and eleven
+    floor divisions < 1 unit each: less than 261 e + 5739 units in all.
     """
     if n < _HARMONIC_DIRECT_BELOW:
-        return sum(decimal.Decimal(1) / i for i in range(1, n + 1))
-    n = decimal.Decimal(n)
-    inv_n2 = 1 / (n * n)
-    series = sum(
-        decimal.Decimal(num) / den * inv_n2**j
-        for j, (num, den) in enumerate(_HARMONIC_SERIES, start=1)
-    )
-    return n.ln() + _EULER_GAMMA + 1 / (2 * n) - series
+        return _HARMONIC_DIRECT[n]
+    total = _ln(n) + _EULER_GAMMA + _FIXED_ONE // (2 * n)
+    square = n * n
+    power = 1
+    for num, den in _HARMONIC_SERIES:
+        power *= square
+        total -= (num << _FIXED_BITS) // (den * power)
+    return total
 
 
 @dataclass(frozen=True)
@@ -150,12 +212,18 @@ class InverseTimeSchedule(EpsilonSchedule):
     sums diverge, so exploration never starves.
 
     ``cumulative(t)`` is the double nearest the real number
-    floor(k) + k * (H_t - H_floor(k)), with k taken exactly as the stored
-    double and H_n the n-th harmonic number.  It is evaluated in O(1) in
-    60-digit decimal arithmetic: harmonic numbers below 100 by direct
-    summation, the rest by the Euler-Maclaurin expansion, whose remainder
-    (under 3e-42) keeps the relative error of the sum below 1e-40.  If
-    that error interval holds a rounding midpoint, exact rational
+    floor(k) + k * (H_t - H_floor(k)), with k = m/d taken exactly as the
+    stored double and H_n the n-th harmonic number.  It is evaluated in
+    O(1) in integer fixed point with 200 fractional bits (see
+    :func:`_harmonic`): harmonic numbers below 100 by direct summation,
+    the rest by the Euler-Maclaurin expansion.  H_t and H_floor(k) are
+    each within 2**63 + 2**9 * t.bit_length() units (one unit is 2**-200),
+    so the fixed-point sum ``total`` is within
+    k * (2**64 + 2**10 * t.bit_length()) + 1 units, the last for the floor
+    division by d, and the integer ``slack`` is above that.  Python's int
+    true division rounds correctly, so if (total - slack) / 2**200 and
+    (total + slack) / 2**200 are the same double, so is the sum.
+    Otherwise that interval holds a rounding midpoint and exact rational
     arithmetic over steps floor(k)+1..t decides.  In practice that is an
     exact tie such as k = 3.7, t = 4, which needs a short sum.  No float
     reduction is involved, so the result does not depend on numpy, the
@@ -165,7 +233,7 @@ class InverseTimeSchedule(EpsilonSchedule):
     k: float
     kind = "inverse_time"
     # H_floor(k), the harmonic number every cumulative(t) with t > k needs.
-    _harmonic_flat: decimal.Decimal = field(init=False, repr=False, compare=False)
+    _harmonic_flat: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = _as_float(self.k, "bad_schedule", "inverse_time schedule k")
@@ -175,8 +243,7 @@ class InverseTimeSchedule(EpsilonSchedule):
                 f"inverse_time schedule requires k > 1, got {k}",
             )
         object.__setattr__(self, "k", k)
-        with decimal.localcontext(_HARMONIC_CONTEXT):
-            object.__setattr__(self, "_harmonic_flat", _harmonic(math.floor(k)))
+        object.__setattr__(self, "_harmonic_flat", _harmonic(math.floor(k)))
 
     def epsilon(self, t: int) -> float:
         t = _as_int(t, "bad_parameter", "step index", 1)
@@ -187,10 +254,13 @@ class InverseTimeSchedule(EpsilonSchedule):
         flat = math.floor(self.k)
         if t <= flat:
             return float(t)
-        with decimal.localcontext(_HARMONIC_CONTEXT):
-            total = flat + decimal.Decimal(self.k) * (_harmonic(t) - self._harmonic_flat)
-            slack = total.scaleb(-_HARMONIC_SLACK_DIGITS)
-            lo, hi = float(total - slack), float(total + slack)
+        m, d = self.k.as_integer_ratio()
+        total = (flat << _FIXED_BITS) + m * (_harmonic(t) - self._harmonic_flat) // d
+        slack = m * ((1 << 64) + (t.bit_length() << 10)) // d + 2
+        try:
+            lo, hi = (total - slack) / _FIXED_ONE, (total + slack) / _FIXED_ONE
+        except OverflowError:  # past the largest double, the sum rounds to inf
+            return math.inf
         if lo == hi:
             return lo
         # The sum lies within the error bound of a rounding midpoint; only
@@ -210,11 +280,12 @@ class ExplicitSchedule(EpsilonSchedule):
     kind = "explicit"
 
     def __post_init__(self):
+        values = _as_tuple(self.values, "bad_schedule", "explicit schedule values")
         values = tuple(
             _as_float(
                 v, "bad_schedule", f"schedule epsilon at step {t}", 0.0, strict=True, maximum=1.0
             )
-            for t, v in enumerate(self.values, 1)
+            for t, v in enumerate(values, 1)
         )
         if not values:
             raise ValidationError("bad_schedule", "explicit schedule needs values")

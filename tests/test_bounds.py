@@ -193,6 +193,14 @@ class TestClosedForm:
         assert value > 0 and not report.vacuous
         assert close(report.clamped, value)
 
+    def test_given_exponents_give_the_same_report(self):
+        for variant in (VARIANT_RHO_SQUARED, VARIANT_RHO_LINEAR):
+            exponents = closed_form_exponents(40.0, 3, 0.25, 0.3, variant)
+            for t in (40.0, 1e3, 1e8):
+                assert closed_form_lower_bound(
+                    40.0, 3, 0.25, 0.3, t, variant, exponents
+                ) == closed_form_lower_bound(40.0, 3, 0.25, 0.3, t, variant)
+
     def test_exponent_variants_differ_only_in_reward_term(self):
         squared = closed_form_exponents(100.0, 2, 0.3, 0.2, VARIANT_RHO_SQUARED)
         linear = closed_form_exponents(100.0, 2, 0.3, 0.2, VARIANT_RHO_LINEAR)

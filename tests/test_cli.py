@@ -4,6 +4,7 @@ oracle / validate subcommands."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import subprocess
@@ -12,6 +13,8 @@ import sys
 import pytest
 import yaml
 
+import cbandits.cli as cli
+import cbandits.core as core
 from cbandits.bounds import selection_lower_bound
 from cbandits.cli import (
     BOUNDS_CSV_COLUMNS,
@@ -334,6 +337,19 @@ class TestBound:
             "0.28958349622441615,0.28958349622441615,false,0.0,0.0"
         )
 
+    def test_closed_form_exponents_once_per_variant(self, capsys, monkeypatch):
+        calls = []
+        original = cli.closed_form_exponents
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "closed_form_exponents", counted)
+        code, out = self.run_bound(capsys, ["--k", "40", "--t-grid", "40", "1000", "100000"])
+        assert code == 0 and len(out.splitlines()) == 4
+        assert calls == [(40.0, 2, 0.1, 0.3, "rho_squared"), (40.0, 2, 0.1, 0.3, "rho_linear")]
+
     def test_closed_form_blank_before_schedule_knee(self, capsys):
         code, out = self.run_bound(capsys, ["--k", "40", "--t-grid", "10", "40"])
         assert code == 0
@@ -591,6 +607,30 @@ class TestValidate:
         assert "violation [bad_config]: experiment.deltas must be a list" in out
         assert out.splitlines()[-1] == "invalid: 1 violation(s)"
 
+    def test_builds_each_part_once(self, tmp_path, capsys, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "instance_from_config")
+        counted(cli, "schedule_from_config")
+        counted(core, "distribution_from_config")
+        config_path = write_config(tmp_path, TWO_ARM_CONFIG)
+        assert main(["validate", "--config", config_path]) == 0
+        assert "experiment: valid" in capsys.readouterr().out
+        assert calls == {
+            "instance_from_config": 1,
+            "schedule_from_config": 1,
+            "distribution_from_config": 4,
+        }
+
     def test_config_without_experiment_section_notes_incomplete(self, tmp_path, capsys):
         config_path = write_config(tmp_path, ORACLE_CONFIG)
         code = main(["validate", "--config", config_path])
@@ -635,6 +675,13 @@ REJECTED_CONFIGS = [
                  "bad_config", "arms", id="arms-not-a-list"),
     pytest.param(edited(lambda c: c["experiment"].update(checkpoints=25)),
                  "bad_config", "checkpoints", id="checkpoints-not-a-list"),
+    pytest.param(edited(lambda c: arm(c, 0).update(
+        cost={"kind": "discrete", "values": 0.5, "probabilities": 1.0})),
+                 "bad_parameter", "discrete values must be a list",
+                 id="discrete-values-not-a-list"),
+    pytest.param(edited(lambda c: c.update(schedule={"kind": "explicit", "values": 0.5})),
+                 "bad_schedule", "explicit schedule values must be a list",
+                 id="explicit-values-not-a-list"),
 ]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import integrate, stats
 
+import cbandits.core as core
 from cbandits.core import (
     DRAWS_PER_STEP,
     Arm,
@@ -192,6 +194,9 @@ def test_quantile_table_literals():
         (lambda: Discrete((0.2, 0.3), (-0.1, 1.1)), "bad_probabilities"),
         (lambda: Discrete((0.2, 0.3), (0.5,)), "bad_parameter"),
         (lambda: Discrete((), ()), "bad_parameter"),
+        (lambda: Discrete(0.5, 1.0), "bad_parameter"),
+        (lambda: Discrete((0.5,), "1"), "bad_parameter"),
+        (lambda: Discrete(np.array(0.5), np.array(1.0)), "bad_parameter"),
         (lambda: Beta(0.0, 2.0), "bad_parameter"),
         (lambda: Beta(2.0, -1.0), "bad_parameter"),
     ],
@@ -200,6 +205,72 @@ def test_distribution_validation_codes(build, code):
     with pytest.raises(ValidationError) as err:
         build()
     assert err.value.code == code
+
+
+# (value, result) of the number validators; a string result is the
+# ValidationError message.
+AS_FLOAT_CASES = [
+    (1.5, 1.5),
+    (np.float64(1.5), 1.5),
+    (np.float32(0.5), 0.5),
+    (np.int64(2), 2.0),
+    (Fraction(3, 2), 1.5),
+    (2, 2.0),
+    (True, "x must be a real number, got True"),
+    ("1", "x must be a real number, got '1'"),
+    (0.0, "x must lie in (0, 2], got 0.0"),
+    (2.5, "x must lie in (0, 2], got 2.5"),
+    (math.inf, "x must lie in (0, 2], got inf"),
+    (math.nan, "x must lie in (0, 2], got nan"),
+    (np.float64(math.nan), "x must lie in (0, 2], got nan"),
+]
+AS_INT_CASES = [
+    (3, 3),
+    (np.int64(3), 3),
+    (np.uint8(10), 10),
+    (True, "n must be an integer in [1, 10], got True"),
+    (0, "n must be an integer in [1, 10], got 0"),
+    (11, "n must be an integer in [1, 10], got 11"),
+    (3.0, "n must be an integer in [1, 10], got 3.0"),
+    (np.float64(3.0), "n must be an integer in [1, 10], got np.float64(3.0)"),
+    (Fraction(3, 1), "n must be an integer in [1, 10], got Fraction(3, 1)"),
+    (math.inf, "n must be an integer in [1, 10], got inf"),
+    (math.nan, "n must be an integer in [1, 10], got nan"),
+]
+
+
+@pytest.mark.parametrize(("value", "result"), AS_FLOAT_CASES)
+def test_as_float_accepts_and_rejects(value, result):
+    call = lambda: core._as_float(value, "c", "x", 0.0, strict=True, maximum=2.0)  # noqa: E731
+    if isinstance(result, str):
+        with pytest.raises(ValidationError, match=f"^{re.escape(result)}$"):
+            call()
+    else:
+        out = call()
+        assert type(out) is float and out == result
+
+
+@pytest.mark.parametrize(("value", "result"), AS_INT_CASES)
+def test_as_int_accepts_and_rejects(value, result):
+    call = lambda: core._as_int(value, "c", "n", 1, 10)  # noqa: E731
+    if isinstance(result, str):
+        with pytest.raises(ValidationError, match=f"^{re.escape(result)}$"):
+            call()
+    else:
+        out = call()
+        assert type(out) is int and out == result
+
+
+def test_as_int_without_maximum():
+    assert core._as_int(2**70, "c", "n", 1) == 2**70
+    with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got 0$"):
+        core._as_int(0, "c", "n", 1)
+
+
+def test_discrete_takes_lists_and_arrays():
+    expected = Discrete((0.0, 0.5), (0.25, 0.75))
+    assert Discrete([0.0, 0.5], [0.25, 0.75]) == expected
+    assert Discrete(np.array([0.0, 0.5]), np.array([0.25, 0.75])) == expected
 
 
 def test_discrete_probability_sum_tolerance():

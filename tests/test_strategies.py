@@ -19,6 +19,7 @@ from cbandits.core import (
     step_uniforms,
 )
 import cbandits.harness as harness
+import cbandits.strategies as strategies
 from cbandits.harness import ExperimentConfig, run_chunk
 from cbandits.strategies import (
     POLICY_CONSTRAINED,
@@ -183,12 +184,43 @@ def _inverse_time_reference(k: float, t: int) -> float:
         return float(flat + mpmath.mpf(k) * (mpmath.harmonic(t) - mpmath.harmonic(flat)))
 
 
-@pytest.mark.parametrize("k", [2.0, 3.7, 40.0, 41.3])
+@pytest.mark.parametrize("k", [2.0, 3.7, 40.0, 41.3, 99.5, 100.0, 812.3, 1e6 + 0.5])
 def test_cumulative_is_correctly_rounded(k):
+    # From k = 99.5 on, H_floor(k) also comes from the expansion.
     flat = math.floor(k)
-    grid = {1, flat, flat + 1, 999, 1000, 1001, 10**5, 10**7, 10**8}
+    grid = {1, flat, flat + 1, 99, 100, 101, 999, 1000, 1001, 10**5, 10**7, 10**8}
     for t in sorted(grid):
         assert InverseTimeSchedule(k).cumulative(t) == _inverse_time_reference(k, t), t
+
+
+def test_fixed_point_harmonic_within_documented_error():
+    # |_harmonic(n) - 2^P H_n| < 2^63 + 2^9 n.bit_length() units, against
+    # exact rationals; n = 100 and up go through the expansion.
+    one = strategies._FIXED_ONE
+    exact = Fraction(0)
+    for n in range(0, 1001):
+        if n:
+            exact += Fraction(1, n)
+        error = abs(strategies._harmonic(n) - exact * one)
+        assert error < 2**63 + 2**9 * n.bit_length(), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [64, 100, 127, 128, 129, 1000, 12345, 10**5, 10**8, 2**40 + 12345,
+     pytest.param(3**200, id="3**200")],
+)
+def test_fixed_point_ln_within_documented_error(n):
+    # _ln(n) is below 2^P ln n by less than 261 e + 5726 units,
+    # e = n.bit_length() - 7.
+    e = n.bit_length() - 7
+    with mpmath.workprec(2 * strategies._FIXED_BITS + n.bit_length()):
+        gap = mpmath.log(n) * strategies._FIXED_ONE - strategies._ln(n)
+        assert 0 <= gap < 261 * e + 5726
+
+
+def test_cumulative_past_the_largest_double_is_inf():
+    assert InverseTimeSchedule(1e308).cumulative(10**309) == math.inf
 
 
 def test_cumulative_rounds_exact_ties_to_even():
