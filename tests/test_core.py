@@ -239,26 +239,23 @@ AS_INT_CASES = [
 ]
 
 
-@pytest.mark.parametrize(("value", "result"), AS_FLOAT_CASES)
-def test_as_float_accepts_and_rejects(value, result):
-    call = lambda: core._as_float(value, "c", "x", 0.0, strict=True, maximum=2.0)  # noqa: E731
+def check_validator(call, result):
     if isinstance(result, str):
         with pytest.raises(ValidationError, match=f"^{re.escape(result)}$"):
             call()
     else:
         out = call()
-        assert type(out) is float and out == result
+        assert type(out) is type(result) and out == result
+
+
+@pytest.mark.parametrize(("value", "result"), AS_FLOAT_CASES)
+def test_as_float_accepts_and_rejects(value, result):
+    check_validator(lambda: core._as_float(value, "c", "x", 0.0, strict=True, maximum=2.0), result)
 
 
 @pytest.mark.parametrize(("value", "result"), AS_INT_CASES)
 def test_as_int_accepts_and_rejects(value, result):
-    call = lambda: core._as_int(value, "c", "n", 1, 10)  # noqa: E731
-    if isinstance(result, str):
-        with pytest.raises(ValidationError, match=f"^{re.escape(result)}$"):
-            call()
-    else:
-        out = call()
-        assert type(out) is int and out == result
+    check_validator(lambda: core._as_int(value, "c", "n", 1, 10), result)
 
 
 def test_as_int_without_maximum():
