@@ -9,6 +9,11 @@ the reward tail factor exp(-(rho^2/2) x) and is the default;
 the decay whenever rho < 1 and can then exceed the exact bound.  Both
 are computed, neither is silently corrected.
 
+Each public function checks its parameters once per call and wraps the
+result of a private function that returns the terms as a tuple;
+``cbandits bound`` writes its rows from those same functions, so every
+formula has one copy.
+
 Raw products are reported alongside clamped values.  A bound is vacuous
 when any factor is negative or the product is nonpositive; the clamped
 value is 0 there and min(1, raw) otherwise, so it always lies in [0, 1].
@@ -61,7 +66,10 @@ def exploration_mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
     exact when num_arms is a power of two and otherwise rounds once more.
     Satisfies 0 < x_t <= t / (2 * num_arms).
     """
-    num_arms = _as_int(num_arms, "bad_parameter", "num_arms", 2)
+    return _mass(schedule, t, _as_int(num_arms, "bad_parameter", "num_arms", 2))
+
+
+def _mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
     return schedule.cumulative(t) / (2.0 * num_arms)
 
 
@@ -98,28 +106,21 @@ def _clamp(factors: tuple[float, ...], raw: float) -> tuple[float, bool]:
     return clamped, vacuous
 
 
-def bound_from_mass(
-    x: float,
-    epsilon_t: float,
-    num_arms: int,
-    delta: float,
-    rho: float,
-    t: int | None = None,
-) -> BoundReport:
-    """Evaluate the four-factor bound at exploration mass ``x``.
+def _check_parameters(num_arms: int, delta: float, rho: float) -> tuple[int, float, float]:
+    """``num_arms``, ``delta`` and ``rho`` as every bound takes them."""
+    return (
+        _as_int(num_arms, "bad_parameter", "num_arms", 2),
+        _as_float(delta, "bad_parameter", "delta", 0.0),
+        _as_float(rho, "bad_parameter", "rho", 0.0),
+    )
 
-    ``epsilon_t`` is the switching probability in force at the step being
-    bounded.  ``delta`` widens the feasibility event; ``rho`` is the
-    minimum reward-mean gap.  Either may be zero, which makes the
-    corresponding factor negative and the bound vacuous.
-    """
-    num_arms = _as_int(num_arms, "bad_parameter", "num_arms", 2)
-    delta = _as_float(delta, "bad_parameter", "delta", 0.0)
-    rho = _as_float(rho, "bad_parameter", "rho", 0.0)
+
+def _bound_terms(x: float, epsilon_t: float, n: int, delta: float, rho: float) -> tuple:
+    """The exact bound at mass ``x`` for checked n, delta and rho:
+    (epsilon_t, x, factor_eps, factor_count, factor_feas, factor_reward,
+    raw, clamped, vacuous), the order of the ``cbandits bound`` columns."""
     epsilon_t = _as_float(epsilon_t, "bad_parameter", "epsilon_t", 0.0)
     x = _as_float(x, "bad_parameter", "x", 0.0, strict=True)
-
-    n = num_arms
     factor_eps = 1.0 - epsilon_t / n
     factor_count = 1.0 - n * math.exp(-x / 5.0)
     factor_feas = 1.0 - 2.0 * n * math.exp(-2.0 * delta * delta * x)
@@ -127,7 +128,18 @@ def bound_from_mass(
     factors = (factor_eps, factor_count, factor_feas, factor_reward)
     assert all(f <= 1.0 for f in factors)
     raw = factor_eps * factor_count * factor_feas * factor_reward
-    clamped, vacuous = _clamp(factors, raw)
+    return (epsilon_t, x, *factors, raw, *_clamp(factors, raw))
+
+
+def _selection_terms(schedule: EpsilonSchedule, t: int, n: int, delta: float, rho: float) -> tuple:
+    """:func:`_bound_terms` at step ``t`` of ``schedule``."""
+    epsilon_t = schedule.epsilon(t)
+    return _bound_terms(_mass(schedule, t, n), epsilon_t, n, delta, rho)
+
+
+def _bound_report(t: int | None, num_arms: int, delta: float, rho: float, terms: tuple):
+    (epsilon_t, x, factor_eps, factor_count, factor_feas, factor_reward,
+     raw, clamped, vacuous) = terms
     return BoundReport(
         t=t,
         x_t=x,
@@ -145,6 +157,25 @@ def bound_from_mass(
     )
 
 
+def bound_from_mass(
+    x: float,
+    epsilon_t: float,
+    num_arms: int,
+    delta: float,
+    rho: float,
+    t: int | None = None,
+) -> BoundReport:
+    """Evaluate the four-factor bound at exploration mass ``x``.
+
+    ``epsilon_t`` is the switching probability in force at the step being
+    bounded.  ``delta`` widens the feasibility event; ``rho`` is the
+    minimum reward-mean gap.  Either may be zero, which makes the
+    corresponding factor negative and the bound vacuous.
+    """
+    num_arms, delta, rho = _check_parameters(num_arms, delta, rho)
+    return _bound_report(t, num_arms, delta, rho, _bound_terms(x, epsilon_t, num_arms, delta, rho))
+
+
 def selection_lower_bound(
     schedule: EpsilonSchedule,
     t: int,
@@ -155,9 +186,9 @@ def selection_lower_bound(
     """Exact lower bound on the probability that the arm selected at step
     ``t`` is delta-best, as a function of the schedule's history."""
     t = _as_int(t, "bad_parameter", "t", 1)
-    epsilon_t = schedule.epsilon(t)
-    x = exploration_mass(schedule, t, num_arms)
-    return bound_from_mass(x, epsilon_t, num_arms, delta, rho, t=t)
+    num_arms, delta, rho = _check_parameters(num_arms, delta, rho)
+    terms = _selection_terms(schedule, t, num_arms, delta, rho)
+    return _bound_report(t, num_arms, delta, rho, terms)
 
 
 @dataclass(frozen=True)
@@ -194,9 +225,7 @@ def closed_form_exponents(
     is the largest of the matching coefficients, returned in log space
     because it overflows doubles already for moderate k.
     """
-    num_arms = _as_int(num_arms, "bad_parameter", "num_arms", 2)
-    delta = _as_float(delta, "bad_parameter", "delta", 0.0)
-    rho = _as_float(rho, "bad_parameter", "rho", 0.0)
+    num_arms, delta, rho = _check_parameters(num_arms, delta, rho)
     k = _as_float(k, "bad_parameter", "k", 1.0, strict=True)
     if variant not in VARIANTS:
         raise ValidationError(
@@ -211,6 +240,16 @@ def closed_form_exponents(
     log_k = math.log(k)
     log_beta = max(math.log(c) + a * log_k for c, a in zip(coefs, exps))
     return alpha, log_beta
+
+
+def _closed_form_terms(k: float, n: int, t: float, alpha: float, log_beta: float) -> tuple:
+    """The closed form at t >= k: (factor_eps, factor_tail, raw, clamped,
+    vacuous)."""
+    ratio = _safe_exp(log_beta - alpha * math.log(t))
+    factor_eps = 1.0 - k / (n * t)
+    factor_tail = 1.0 - ratio
+    raw = factor_eps * factor_tail**3
+    return (factor_eps, factor_tail, raw, *_clamp((factor_eps, factor_tail), raw))
 
 
 def closed_form_lower_bound(
@@ -239,11 +278,9 @@ def closed_form_lower_bound(
         raise ValidationError(
             "bad_parameter", f"the closed form needs t >= k, got t={t} < k={k}"
         )
-    ratio = _safe_exp(log_beta - alpha * math.log(t))
-    factor_eps = 1.0 - k / (num_arms * t)
-    factor_tail = 1.0 - ratio
-    raw = factor_eps * factor_tail**3
-    clamped, vacuous = _clamp((factor_eps, factor_tail), raw)
+    factor_eps, factor_tail, raw, clamped, vacuous = _closed_form_terms(
+        k, num_arms, t, alpha, log_beta
+    )
     return ClosedFormReport(
         t=t,
         k=k,
@@ -260,3 +297,4 @@ def closed_form_lower_bound(
         clamped=clamped,
         vacuous=vacuous,
     )
+

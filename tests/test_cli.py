@@ -4,18 +4,21 @@ oracle / validate subcommands."""
 
 from __future__ import annotations
 
+import ast
 import collections
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 import cbandits.cli as cli
 import cbandits.core as core
-from cbandits.bounds import selection_lower_bound
+from cbandits.bounds import closed_form_lower_bound, selection_lower_bound
 from cbandits.cli import (
     BOUNDS_CSV_COLUMNS,
     experiment_from_mapping,
@@ -273,6 +276,16 @@ class TestRun:
         assert code == 2
         assert "checkpoints" in capsys.readouterr().err
 
+    def test_malformed_yaml_is_bad_config(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, TWO_ARM_CONFIG.replace("[5, 25]", "[5, 25"))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", config_path, "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        assert captured.err.startswith(
+            f"config error [bad_config]: config file {config_path} is not valid YAML: "
+        )
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.yaml"),
                      "--out-dir", str(tmp_path / "o")])
@@ -311,20 +324,108 @@ class TestBound:
         return code, out
 
     def test_stdout_grid_matches_library(self, capsys):
-        code, out = self.run_bound(capsys, ["--k", "40", "--t-grid", "40", "1000", "100000"])
+        grid = (10, 40, 1000, 100000)
+        code, out = self.run_bound(capsys, ["--k", "40", "--t-grid", *map(str, grid)])
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == ",".join(
-            BOUNDS_CSV_COLUMNS + ("closed_form_rho_squared", "closed_form_rho_linear")
-        )
-        assert len(lines) == 4
+        variants = ("rho_squared", "rho_linear")
+        header = BOUNDS_CSV_COLUMNS + tuple(f"closed_form_{v}" for v in variants)
+        assert lines[0] == ",".join(header)
+        assert len(lines) == len(grid) + 1
         schedule = InverseTimeSchedule(40.0)
-        for line, t in zip(lines[1:], (40, 1000, 100000)):
-            cells = dict(zip(lines[0].split(","), line.split(",")))
+        # Every cell is the repr of the report field it comes from.
+        fields = [{"raw": "raw_product"}.get(c, c) for c in BOUNDS_CSV_COLUMNS[:-1]]
+        for line, t in zip(lines[1:], grid):
             report = selection_lower_bound(schedule, t, 2, 0.1, 0.3)
-            assert cells["t"] == str(t)
-            assert cells["clamped"] == repr(report.clamped)
-            assert cells["vacuous"] == ("true" if report.vacuous else "false")
+            expected = [repr(getattr(report, field)) for field in fields]
+            expected.append("true" if report.vacuous else "false")
+            for variant in variants:
+                if t < 40:
+                    expected.append("")
+                else:
+                    closed = closed_form_lower_bound(40.0, 2, 0.1, 0.3, float(t), variant)
+                    expected.append(repr(closed.clamped))
+            assert line.split(",") == expected
+
+    def test_full_output_is_frozen(self, capsys):
+        # (argv, grid, SHA-256 of stdout): grids run over t = 1..ceil(k),
+        # then eight points a decade up to 10**8.  n = 3 makes x_t round
+        # twice; the last run has a factor negative at every t.
+        def grid(k):
+            decades = {round(10 ** (i / 8)) for i in range(65)}
+            return sorted(set(range(1, math.ceil(k) + 1)) | decades)
+
+        runs = [
+            (["--num-arms", "3", "--delta", "0.3", "--rho", "0.4", "--k", "8.5"], grid(8.5),
+             "32022c615eba6cc8bd60bbc73fdb2bd2ece819b77db0ff0620917f56e301be27"),
+            (["--num-arms", "2", "--delta", "0.5", "--rho", "0.5", "--k", "40"], grid(40),
+             "5405175a2a24a6833370712cee799fd3ad17e23d5533d10c557cfeaff9ac5ea9"),
+            (["--num-arms", "8", "--delta", "0.1", "--rho", "0.2", "--k", "800"], grid(800),
+             "fc8ffac4164edb84789589f32d4cf72c60272a1b22445223b103de2312d779d9"),
+            (["--num-arms", "3", "--delta", "0.25", "--rho", "0.2", "--k", "40",
+              "--variant", "rho_squared"], grid(40),
+             "93d0addec8e893fdd012eb9af6fd3a20a804903665a6818a31ad8b6d36332b35"),
+            (["--num-arms", "3", "--delta", "0.25", "--rho", "0.2", "--k", "40",
+              "--variant", "rho_linear"], grid(40),
+             "432cd5e5a5603e336be003b96abbe63d8af88c4ec8c7850d5f1df39ad8bb3759"),
+            (["--num-arms", "3", "--delta", "0.3", "--rho", "0.4", "--epsilon", "0.3"], grid(8.5),
+             "1cb6dc2e43521f9931fba54adbfffb4228dc6ada90307ec1b6da785f5ff084e9"),
+            (["--num-arms", "2", "--delta", "0.0", "--rho", "0.0", "--k", "8.5"], grid(8.5),
+             "83ebff49d94014745b1dc5a608d6ee4ca80af164df560a9823f52da90daba73f"),
+        ]
+        for argv, t_grid, digest in runs:
+            assert main(["bound", *argv, "--t-grid", *map(str, t_grid)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+    @pytest.mark.parametrize("schedule", [["--k", "40"], ["--epsilon", "0.5"]])
+    @pytest.mark.parametrize(
+        ("params", "message"),
+        [
+            pytest.param(["--num-arms", "1", "--delta", "0.1", "--rho", "0.3"],
+                         "[bad_parameter]: num_arms must be an integer >= 2, got 1", id="arms"),
+            pytest.param(["--num-arms", "2", "--delta", "-0.1", "--rho", "0.3"],
+                         "[bad_parameter]: delta must be finite and >= 0.0, got -0.1",
+                         id="delta-negative"),
+            pytest.param(["--num-arms", "2", "--delta", "nan", "--rho", "0.3"],
+                         "[bad_parameter]: delta must be finite and >= 0.0, got nan",
+                         id="delta-nan"),
+            pytest.param(["--num-arms", "2", "--delta", "0.1", "--rho", "inf"],
+                         "[bad_parameter]: rho must be finite and >= 0.0, got inf", id="rho-inf"),
+        ],
+    )
+    def test_bad_parameter_rejected(self, capsys, params, message, schedule):
+        code = main(["bound", *params, *schedule, "--t-grid", "1", "10", "100"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"config error {message}\n"
+
+    @pytest.mark.parametrize(
+        ("schedule", "message"),
+        [
+            (["--k", "1.0"], "[bad_schedule]: inverse_time schedule requires k > 1, got 1.0"),
+            (["--epsilon", "1.5"], "[bad_schedule]: schedule epsilon must lie in (0, 1], got 1.5"),
+        ],
+    )
+    def test_bad_schedule_rejected(self, capsys, schedule, message):
+        code = main(["bound", "--num-arms", "1", "--delta", "-0.1", "--rho", "0.3",
+                     *schedule, "--t-grid", "1", "10", "100"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"config error {message}\n"
+
+    def test_one_exploration_mass_per_row(self, capsys, monkeypatch):
+        steps = []
+        cumulative = InverseTimeSchedule.cumulative
+
+        def counted(self, t):
+            steps.append(t)
+            return cumulative(self, t)
+
+        monkeypatch.setattr(InverseTimeSchedule, "cumulative", counted)
+        code, out = self.run_bound(capsys, ["--k", "40", "--t-grid", "1", "40", "1000"])
+        assert code == 0 and len(out.splitlines()) == 4
+        assert steps == [1, 40, 1000]
 
     def test_golden_row(self, capsys):
         # Frozen full row; the underlying values are oracle-checked in the
@@ -697,6 +798,35 @@ def test_rejected_config(tmp_path, capsys, text, code, needle):
     captured = capsys.readouterr()
     assert captured.out == "" and not out_dir.exists()
     assert f"config error [{code}]" in captured.err and needle in captured.err
+
+
+def config_texts():
+    """Every multi-line string of the test modules, the golden config
+    under each strategy and every rejected config."""
+    texts = [GOLDEN_CONFIG % key for key in GOLDEN_DIGESTS]
+    texts += [param.values[0] for param in REJECTED_CONFIGS]
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        texts += [node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "\n" in node.value]
+    return texts
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+def test_config_texts_parse_alike_under_both_loaders():
+    assert cli._YAML_LOADER is yaml.CSafeLoader
+    mappings = 0
+    for text in config_texts():
+        outcomes = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            try:
+                outcomes.append(yaml.load(text, Loader=loader))
+            except yaml.YAMLError as err:
+                outcomes.append(type(err))
+        assert outcomes[0] == outcomes[1], text
+        mappings += isinstance(outcomes[0], dict) and "instance" in outcomes[0]
+    assert mappings >= 20
 
 
 class TestEntryPoint:
