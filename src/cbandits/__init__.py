@@ -1,4 +1,11 @@
-"""Constrained epsilon-greedy bandits: simulation, exact analysis, bounds."""
+"""Constrained epsilon-greedy bandits: simulation, exact analysis, bounds.
+
+The Monte Carlo harness names are served on first use (PEP 562), so
+importing the package, or a module of it other than the harness, does
+not import numpy.
+"""
+
+import importlib
 
 from cbandits.core import (
     Arm,
@@ -38,12 +45,19 @@ from cbandits.bounds import (
     exploration_mass,
     selection_lower_bound,
 )
-from cbandits.harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    MonteCarloEstimate,
-    run_experiment,
-    wilson_interval,
-)
 
 __version__ = "0.1.0"
+
+_HARNESS_NAMES = (
+    "ExperimentConfig",
+    "ExperimentResult",
+    "MonteCarloEstimate",
+    "run_experiment",
+    "wilson_interval",
+)
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        return getattr(importlib.import_module("cbandits.harness"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

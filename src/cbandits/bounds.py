@@ -248,7 +248,12 @@ def _closed_form_terms(k: float, n: int, t: float, alpha: float, log_beta: float
     ratio = _safe_exp(log_beta - alpha * math.log(t))
     factor_eps = 1.0 - k / (n * t)
     factor_tail = 1.0 - ratio
-    raw = factor_eps * factor_tail**3
+    try:
+        raw = factor_eps * factor_tail**3
+    except OverflowError:
+        # Only a tail ratio above about e**236 gets here, so factor_tail
+        # is negative and the row reads vacuous either way.
+        raw = -math.inf
     return (factor_eps, factor_tail, raw, *_clamp((factor_eps, factor_tail), raw))
 
 

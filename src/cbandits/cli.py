@@ -5,18 +5,22 @@ and validate configs.
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 parameters.  The ``run`` subcommand echoes the fully-resolved config to
 stdout as YAML; re-parsing that echo reproduces the experiment exactly.
+
+Each subcommand imports only what it uses: ``bound`` is plain Python
+and loads neither PyYAML nor numpy, ``oracle`` and ``validate`` load
+PyYAML to read the config, and only ``run`` (or ``validate`` of a config
+that declares checkpoints) loads the numpy harness.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from typing import Mapping
-
-import yaml
+from typing import TYPE_CHECKING, Mapping
 
 from cbandits.analysis import exact_selection_probability, feasibility_profile
 from cbandits.bounds import (
@@ -32,16 +36,10 @@ from cbandits.core import (
     ValidationError,
     _as_int,
     _as_tuple,
+    _format_csv_value,
     _increasing_steps,
     _section,
     instance_from_config,
-)
-from cbandits.harness import (
-    ExperimentConfig,
-    _format_csv_value,
-    run_experiment,
-    write_results_csv,
-    write_summary_json,
 )
 from cbandits.strategies import (
     POLICY_CONSTRAINED,
@@ -52,6 +50,9 @@ from cbandits.strategies import (
     _check_strategy,
     schedule_from_config,
 )
+
+if TYPE_CHECKING:
+    from cbandits.harness import ExperimentConfig
 
 __all__ = [
     "BOUNDS_CSV_COLUMNS",
@@ -86,18 +87,26 @@ BOUNDS_CSV_COLUMNS = (
 )
 
 
-# libyaml's parser when PyYAML was built with it: the same mappings as the
-# pure-Python SafeLoader, about ten times faster.
-_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+@functools.cache
+def _yaml_loader():
+    """libyaml's parser when PyYAML was built with it: the same mappings as
+    the pure-Python SafeLoader, about ten times faster."""
+    import yaml
+
+    return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def load_config_file(path: str):
     """The YAML document at ``path``; :func:`_parse_sections` checks it."""
+    import yaml
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return yaml.load(fh, Loader=_YAML_LOADER)
+            return yaml.load(fh, Loader=_yaml_loader())
     except FileNotFoundError:
         raise ValidationError("bad_config", f"config file not found: {path}")
+    except UnicodeDecodeError as err:
+        raise ValidationError("bad_config", f"config file {path} is not UTF-8: {err}")
     except yaml.YAMLError as err:
         raise ValidationError("bad_config", f"config file {path} is not valid YAML: {err}")
 
@@ -141,6 +150,8 @@ def _parse_sections(top: Mapping) -> dict:
 def _experiment_config(parts: dict) -> ExperimentConfig:
     """The experiment of sections that :func:`_parse_sections` parsed.
     Defaults are filled in here so the resolved echo is always explicit."""
+    from cbandits.harness import ExperimentConfig
+
     experiment_raw = _section(
         parts["experiment_raw"], "experiment", ("checkpoints",), _EXPERIMENT_KEYS
     )
@@ -183,6 +194,10 @@ def _apply_overrides(top, args: argparse.Namespace) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    import yaml
+
+    from cbandits.harness import run_experiment, write_results_csv, write_summary_json
+
     top = _apply_overrides(load_config_file(args.config), args)
     config, output = experiment_from_mapping(top)
     _as_int(args.workers, "bad_parameter", "--workers", 1)

@@ -1,5 +1,6 @@
 """Bounded-support outcome distributions, bandit problem instances, the
-one RNG addressing function, and the one set of input validators:
+one RNG addressing function, the one CSV cell format
+(:func:`_format_csv_value`), and the one set of input validators:
 :func:`_section` checks a config mapping's keys, :func:`_as_float` and
 :func:`_as_int` a number's type and range, :func:`_as_tuple` that a
 value is a list, and :func:`_increasing_steps` a list of steps.
@@ -8,24 +9,33 @@ Every distribution here has support inside the unit interval and a
 closed-form mean and variance.  Sampling is inverse-transform only: a
 draw is ``quantile(u)`` of exactly one uniform from the replication's
 stream, which keeps trajectories replayable and makes each
-replication's draws the same in any chunk of the kernel.  scipy is
-imported only when a beta variate is first drawn (:func:`_betaincinv`).
+replication's draws the same in any chunk of the kernel.
 :func:`step_uniforms` is the only place that maps a (step, replication)
 pair to its uniforms.
+
+Building, checking and describing distributions and instances is plain
+Python.  numpy is imported only by the code that draws or takes arrays
+(:func:`experiment_key`, :func:`step_uniforms` and the array branch of
+each ``quantile``), and scipy only when a beta variate is first drawn
+(:func:`_betaincinv`), so ``cbandits bound``, ``oracle`` and
+``validate`` load neither.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 import numbers
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
-import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ValidationError",
@@ -52,7 +62,7 @@ PROBABILITY_TOL = 1e-12
 # yields exactly four doubles, so one counter block == one replication-step.
 DRAWS_PER_STEP = 4
 
-ArrayLike = Union[float, np.ndarray]
+ArrayLike = Union[float, "np.ndarray"]
 # (value, probability) pairs; the probability is a Fraction in exact mode.
 Atoms = tuple[tuple[float, Union[float, Fraction]], ...]
 # (cuts, values): quantile(u) is values[number of cuts <= u].
@@ -123,11 +133,23 @@ def _as_int(value, code: str, what: str, minimum: int, maximum: float = math.inf
 def _as_tuple(value, code: str, what: str) -> tuple:
     """``value`` as a tuple.  Any sequence but a string is accepted, numpy
     arrays of one or more dimensions included."""
-    if (isinstance(value, np.ndarray) and value.ndim) or (
+    # No value is an ndarray while numpy is not loaded.
+    np = sys.modules.get("numpy")
+    if (np is not None and isinstance(value, np.ndarray) and value.ndim) or (
         isinstance(value, Sequence) and not isinstance(value, (str, bytes))
     ):
         return tuple(value)
     raise ValidationError(code, f"{what} must be a list, got {value!r}")
+
+
+def _format_csv_value(value) -> str:
+    """A CSV cell: ``true``/``false`` for a bool, the shortest round-trip
+    ``repr`` for a float, ``str`` otherwise."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 def _increasing_steps(values: Sequence, what: str) -> tuple[int, ...]:
@@ -258,6 +280,8 @@ class PointMass(Distribution):
     def quantile(self, u: ArrayLike) -> ArrayLike:
         if isinstance(u, float):
             return self.value
+        import numpy as np
+
         return np.full_like(np.asarray(u, dtype=np.float64), self.value)
 
     def atoms(self, exact: bool = False) -> Atoms:
@@ -293,6 +317,8 @@ class Bernoulli(Distribution):
         # P{U < p} = p exactly for U uniform on [0, 1).
         if isinstance(u, float):
             return 1.0 if u < self.p else 0.0
+        import numpy as np
+
         return (np.asarray(u) < self.p).astype(np.float64)
 
     def atoms(self, exact: bool = False) -> Atoms:
@@ -317,8 +343,7 @@ class Discrete(Distribution):
     values: tuple[float, ...]
     probabilities: tuple[float, ...]
     kind = "discrete"
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
-    _atoms: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = tuple(
@@ -355,8 +380,8 @@ class Discrete(Distribution):
             )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "_cum", np.cumsum(np.asarray(probs, dtype=np.float64)))
-        object.__setattr__(self, "_atoms", np.asarray(values, dtype=np.float64))
+        # Running sums added in sequence, as np.cumsum adds them.
+        object.__setattr__(self, "_cum", tuple(itertools.accumulate(probs)))
 
     @property
     def mean(self) -> float:
@@ -370,10 +395,12 @@ class Discrete(Distribution):
     def quantile(self, u: ArrayLike) -> ArrayLike:
         # Atom i for u in [_cum[i-1], _cum[i]); the last atom takes the
         # rest of [0, 1), whatever rounding did to _cum[-1].
-        out = self._atoms[self._cum[:-1].searchsorted(u, side="right")]
+        cuts = self._cum[:-1]
         if isinstance(u, float):
-            return float(out)
-        return out
+            return self.values[bisect.bisect_right(cuts, u)]
+        import numpy as np
+
+        return np.asarray(self.values)[np.asarray(cuts).searchsorted(u, side="right")]
 
     def atoms(self, exact: bool = False) -> Atoms:
         probs = self.probabilities
@@ -386,7 +413,7 @@ class Discrete(Distribution):
         return tuple(zip(self.values, probs))
 
     def quantile_table(self) -> QuantileTable:
-        return (tuple(self._cum[:-1].tolist()), self.values)
+        return (self._cum[:-1], self.values)
 
     def to_config(self) -> dict:
         return {
@@ -538,22 +565,22 @@ class ProblemInstance:
             if not isinstance(arm, Arm):
                 raise ValidationError("bad_config", f"arms[{i}] is not an Arm")
         costs = self.cost_means()
-        if not np.any(costs <= self.constraint_level):
+        if not any(c <= self.constraint_level for c in costs):
             raise ValidationError(
                 "empty_feasible_set",
                 f"no arm has mean cost <= constraint level {self.constraint_level} "
-                f"(mean costs: {costs.tolist()})",
+                f"(mean costs: {list(costs)})",
             )
 
     @property
     def num_arms(self) -> int:
         return len(self.arms)
 
-    def reward_means(self) -> np.ndarray:
-        return np.array([arm.reward.mean for arm in self.arms], dtype=np.float64)
+    def reward_means(self) -> tuple[float, ...]:
+        return tuple(arm.reward.mean for arm in self.arms)
 
-    def cost_means(self) -> np.ndarray:
-        return np.array([arm.cost.mean for arm in self.arms], dtype=np.float64)
+    def cost_means(self) -> tuple[float, ...]:
+        return tuple(arm.cost.mean for arm in self.arms)
 
     def to_config(self) -> dict:
         return {
@@ -586,7 +613,9 @@ def instance_from_config(config: Mapping, path: str = "instance") -> ProblemInst
 def experiment_key(master_seed: int) -> np.ndarray:
     """Derive the 128-bit counter-based stream key for an experiment."""
     seed = _as_int(master_seed, "bad_parameter", "master_seed", 0, 2**64 - 1)
-    return SeedSequence(seed).generate_state(2, np.uint64)
+    import numpy as np
+
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
 def step_uniforms(master_seed: int, rep_lo: int, rep_hi: int) -> Iterator[np.ndarray]:
@@ -603,6 +632,8 @@ def step_uniforms(master_seed: int, rep_lo: int, rep_hi: int) -> Iterator[np.nda
     """
     rep_lo = _as_int(rep_lo, "bad_parameter", "rep_lo", 0)
     rep_hi = _as_int(rep_hi, "bad_parameter", "rep_hi", rep_lo + 1, 2**64)
+    from numpy.random import Generator, Philox
+
     n_reps = rep_hi - rep_lo
     bit_generator = Philox(key=experiment_key(master_seed), counter=(1 << 64) + rep_lo)
     generator = Generator(bit_generator)

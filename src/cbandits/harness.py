@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -43,6 +42,7 @@ from cbandits.core import (
     _as_int,
     _as_tuple,
     _betaincinv,
+    _format_csv_value,
     _increasing_steps,
     experiment_key,
     step_uniforms,
@@ -411,6 +411,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if workers == 1 or len(bounds) == 1:
         chunks = [run_chunk(config, lo, hi) for lo, hi in bounds]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = [(config, lo, hi) for lo, hi in bounds]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_worker, tasks))
@@ -463,14 +465,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         estimates=tuple(estimates),
         diagnostics=diagnostics,
     )
-
-
-def _format_csv_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_results_csv(path, estimates: Sequence[MonteCarloEstimate]) -> None:

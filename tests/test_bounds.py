@@ -234,6 +234,13 @@ class TestClosedForm:
         assert math.isinf(report.beta)
         assert report.vacuous is True
         assert report.clamped == 0.0
+        # A finite tail ratio above about e**236 overflows the cube of the
+        # tail factor instead.
+        report = closed_form_lower_bound(1000.0, 2, 0.3, 0.05, 1000.0)
+        assert 236 < math.log(1.0 - report.factor_tail) < 700
+        assert report.raw_product == -math.inf
+        assert report.vacuous is True
+        assert report.clamped == 0.0
 
     def test_dominance_of_squared_variant(self):
         # The squared variant is a relaxation of the exact bound, so its

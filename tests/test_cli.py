@@ -9,6 +9,7 @@ import collections
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -815,7 +816,7 @@ def config_texts():
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
 def test_config_texts_parse_alike_under_both_loaders():
-    assert cli._YAML_LOADER is yaml.CSafeLoader
+    assert cli._yaml_loader() is yaml.CSafeLoader
     mappings = 0
     for text in config_texts():
         outcomes = []
@@ -843,3 +844,106 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def random_bound_argv(rng):
+    """One ``bound`` argv with grids up to 1e12; about one in six carries
+    one value the CLI must reject."""
+    params = {
+        "--num-arms": rng.choice([2, 2, 3, 5, 10, 50]),
+        "--delta": rng.choice([0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.1)]),
+        "--rho": rng.choice([0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.1)]),
+    }
+    if rng.random() < 0.7:
+        params["--k"] = 10 ** rng.uniform(0.01, 4.0)
+    else:
+        params["--epsilon"] = rng.uniform(0.01, 1.0)
+    grid = sorted({round(10 ** rng.uniform(0.0, 12.0)) for _ in range(rng.randint(1, 6))})
+    if rng.random() < 1 / 6:
+        key, bad = rng.choice([("--num-arms", 1), ("--delta", -0.1), ("--delta", math.nan),
+                               ("--rho", math.inf), ("--k", 1.0), ("--epsilon", 1.5),
+                               ("--t-grid", 0)])
+        if key == "--t-grid":
+            grid = grid[::-1] + [bad]
+        else:
+            if key in ("--k", "--epsilon"):
+                params.pop("--k", None), params.pop("--epsilon", None)
+            params[key] = bad
+    argv = ["bound"]
+    for key, value in params.items():
+        argv += [key, repr(value)]
+    variant = rng.choice(["both", "rho_squared", "rho_linear"])
+    return [*argv, "--t-grid", *map(str, grid), "--variant", variant]
+
+
+def malformed_config(rng, base: bytes) -> bytes:
+    """``base`` truncated, with one byte replaced, or with a stray byte or
+    a byte order mark put in."""
+    at = rng.randrange(len(base))
+    edit = rng.randrange(6)
+    if edit == 0:
+        return base[:at]
+    if edit == 1:
+        return base[:at] + bytes([rng.randrange(256)]) + base[at + 1:]
+    stray = [b"\xff", b"\x00", b"\xef\xbb\xbf", b"\xff\xfe"][edit - 2]
+    return base[:at] + stray + base[at:] if edit < 4 else stray + base
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects its arguments this way
+        return exc.code
+
+
+class TestRobustnessSweep:
+    """Seeded sweeps over what users type: every exit is 0 or 2, never 1."""
+
+    # Invocations that exited 1 before the closed form's cube overflow
+    # was caught; every other invocation prints what it printed then.
+    BOUND_CRASHED_BEFORE = (5, 38, 103, 120, 158, 181, 220, 223, 239, 251, 264, 322, 332,
+                            336, 393, 397)
+    BOUND_DIGEST = "bc2df618270393a53265138a53067fc5b5b1212eed89a7ae97a6c738a20fa2d2"
+
+    def test_bound_arguments(self, capsys):
+        rng = random.Random(20261019)
+        digest = hashlib.sha256()
+        codes = collections.Counter()
+        for i in range(400):
+            argv = random_bound_argv(rng)
+            code = exit_code(argv)
+            out = capsys.readouterr().out
+            assert code in (0, 2), argv
+            codes[code] += 1
+            if i not in self.BOUND_CRASHED_BEFORE:
+                digest.update(f"{i} {code}\n{out}".encode())
+        assert codes[0] > 200 and codes[2] > 50
+        assert digest.hexdigest() == self.BOUND_DIGEST
+
+    def test_malformed_config_bytes(self, tmp_path, capsys):
+        rng = random.Random(20261019)
+        base = TWO_ARM_CONFIG.encode()
+        codes = collections.Counter()
+        path = tmp_path / "config.yaml"
+        for i in range(200):
+            path.write_bytes(malformed_config(rng, base))
+            for argv in (["validate"], ["oracle", "--t", "3"],
+                         ["run", "--out-dir", str(tmp_path / "out")]):
+                code = exit_code([*argv, "--config", str(path)])
+                capsys.readouterr()
+                assert code in (0, 2), (argv, path.read_bytes())
+                codes[code] += 1
+        assert codes[0] > 50 and codes[2] > 300
+
+    def test_reproducers(self, tmp_path, capsys):
+        argv = ["bound", "--num-arms", "2", "--delta", "0.3", "--rho", "0.05", "--k", "1000",
+                "--t-grid", "1000", "100000"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[-2:] for row in rows] == [["0.0", "0.0"], ["0.0", "0.0"]]
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"instance: \xff\n")
+        for argv in (["validate"], ["oracle", "--t", "3"], ["run"]):
+            assert main([*argv, "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert f"[bad_config]: config file {path} is not UTF-8" in captured.out + captured.err

@@ -177,6 +177,32 @@ def test_quantile_table_literals():
     assert err.value.code == "continuous_support"
 
 
+def test_discrete_tables_match_numpy_cumsum():
+    # _cum is a running sum in plain Python; the tables, the exact atoms and
+    # both quantile branches are those of np.cumsum's cuts, bit for bit.
+    rng = np.random.default_rng(20261019)
+    for i in range(1000):
+        n = int(rng.integers(1, 9))
+        weights = rng.random(n) * (rng.random(n) < 0.8)
+        weights[rng.integers(n)] += 0.5
+        probs = weights / weights.sum()
+        if i % 3:
+            # Sums just inside 1 - PROBABILITY_TOL or 1 + PROBABILITY_TOL.
+            probs *= 1.0 + (-1) ** i * 0.999 * core.PROBABILITY_TOL
+        values = tuple(rng.random(n).tolist())
+        dist = Discrete(values, tuple(probs.tolist()))
+        cum = np.cumsum(probs)
+        assert [c.hex() for c in dist._cum] == [c.hex() for c in cum.tolist()]
+        assert dist.quantile_table() == (tuple(cum[:-1].tolist()), values)
+        cuts = [Fraction(0), *(min(Fraction(c), Fraction(1)) for c in cum[:-1]), Fraction(1)]
+        exact = tuple(zip(values, (hi - lo for lo, hi in zip(cuts, cuts[1:]))))
+        assert dist.atoms(exact=True) == exact
+        u = np.concatenate([rng.random(8), cum[:-1], [0.0, np.nextafter(1.0, 0.0)]])
+        expected = np.asarray(values)[cum[:-1].searchsorted(u, side="right")]
+        assert np.array_equal(dist.quantile(u), expected)
+        assert [dist.quantile(float(x)) for x in u] == expected.tolist()
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -305,8 +331,9 @@ def test_instance_boundary_cost_is_feasible():
 
 def test_instance_mean_vectors():
     instance = two_point_instance()
-    assert np.array_equal(instance.reward_means(), np.array([1.0, 0.0]))
-    assert np.array_equal(instance.cost_means(), np.array([0.0, 1.0]))
+    assert instance.reward_means() == (1.0, 0.0)
+    assert instance.cost_means() == (0.0, 1.0)
+    assert {type(m) for m in instance.reward_means() + instance.cost_means()} == {float}
     assert instance.num_arms == 2
 
 
