@@ -867,7 +867,8 @@ def random_bound_argv(rng):
             grid = grid[::-1] + [bad]
         else:
             if key in ("--k", "--epsilon"):
-                params.pop("--k", None), params.pop("--epsilon", None)
+                params.pop("--k", None)
+                params.pop("--epsilon", None)
             params[key] = bad
     argv = ["bound"]
     for key, value in params.items():
@@ -890,9 +891,10 @@ def malformed_config(rng, base: bytes) -> bytes:
 
 
 def exit_code(argv):
+    """``main(argv)``, or the code argparse exits with."""
     try:
         return main(argv)
-    except SystemExit as exc:  # argparse rejects its arguments this way
+    except SystemExit as exc:
         return exc.code
 
 
@@ -925,7 +927,7 @@ class TestRobustnessSweep:
         base = TWO_ARM_CONFIG.encode()
         codes = collections.Counter()
         path = tmp_path / "config.yaml"
-        for i in range(200):
+        for _ in range(200):
             path.write_bytes(malformed_config(rng, base))
             for argv in (["validate"], ["oracle", "--t", "3"],
                          ["run", "--out-dir", str(tmp_path / "out")]):

@@ -87,17 +87,14 @@ def modules_loaded_after(tmp_path, argvs):
     return [set(json.loads(line)) for line in proc.stdout.splitlines()]
 
 
-BOUND_ARGV = ["bound", "--num-arms", "2", "--delta", "0.1", "--rho", "0.2", "--k", "3",
-              "--t-grid", "10", "100"]
-
-
 def test_each_command_imports_only_what_it_uses(tmp_path):
     config = tmp_path / "finite.yaml"
     config.write_text(FINITE_CONFIG, encoding="utf-8")
     no_checkpoints = tmp_path / "no-checkpoints.yaml"
     no_checkpoints.write_text(FINITE_CONFIG.rsplit("experiment:", 1)[0], encoding="utf-8")
     argvs = [
-        BOUND_ARGV,
+        ["bound", "--num-arms", "2", "--delta", "0.1", "--rho", "0.2", "--k", "3",
+         "--t-grid", "10", "100"],
         ["oracle", "--config", str(config), "--t", "3"],
         ["validate", "--config", str(no_checkpoints)],
         ["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--workers", "1"],
