@@ -42,7 +42,6 @@ from cbandits.bounds import (
     BoundReport,
     ClosedFormReport,
     closed_form_lower_bound,
-    exploration_mass,
     selection_lower_bound,
 )
 

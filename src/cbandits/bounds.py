@@ -35,8 +35,6 @@ __all__ = [
     "VARIANTS",
     "BoundReport",
     "ClosedFormReport",
-    "exploration_mass",
-    "bound_from_mass",
     "selection_lower_bound",
     "closed_form_exponents",
     "closed_form_lower_bound",
@@ -55,7 +53,7 @@ def _safe_exp(exponent: float) -> float:
     return math.exp(exponent)
 
 
-def exploration_mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
+def _mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
     """Normalized cumulative exploration mass x_t.
 
     ``schedule.cumulative(t)`` divided by 2 * num_arms.  The partial sum
@@ -66,10 +64,6 @@ def exploration_mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
     exact when num_arms is a power of two and otherwise rounds once more.
     Satisfies 0 < x_t <= t / (2 * num_arms).
     """
-    return _mass(schedule, t, _as_int(num_arms, "bad_parameter", "num_arms", 2))
-
-
-def _mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
     return schedule.cumulative(t) / (2.0 * num_arms)
 
 
@@ -77,7 +71,7 @@ def _mass(schedule: EpsilonSchedule, t: int, num_arms: int) -> float:
 class BoundReport:
     """Factor-by-factor evaluation of the exact selection bound."""
 
-    t: int | None
+    t: int
     x_t: float
     epsilon_t: float
     num_arms: int
@@ -90,14 +84,6 @@ class BoundReport:
     raw_product: float
     clamped: float
     vacuous: bool
-
-    def factors(self) -> tuple[float, float, float, float]:
-        return (
-            self.factor_eps,
-            self.factor_count,
-            self.factor_feas,
-            self.factor_reward,
-        )
 
 
 def _clamp(factors: tuple[float, ...], raw: float) -> tuple[float, bool]:
@@ -115,12 +101,13 @@ def _check_parameters(num_arms: int, delta: float, rho: float) -> tuple[int, flo
     )
 
 
-def _bound_terms(x: float, epsilon_t: float, n: int, delta: float, rho: float) -> tuple:
-    """The exact bound at mass ``x`` for checked n, delta and rho:
-    (epsilon_t, x, factor_eps, factor_count, factor_feas, factor_reward,
-    raw, clamped, vacuous), the order of the ``cbandits bound`` columns."""
-    epsilon_t = _as_float(epsilon_t, "bad_parameter", "epsilon_t", 0.0)
-    x = _as_float(x, "bad_parameter", "x", 0.0, strict=True)
+def _selection_terms(schedule: EpsilonSchedule, t: int, n: int, delta: float, rho: float) -> tuple:
+    """The exact bound at step ``t`` of ``schedule`` for checked t, n,
+    delta and rho: (epsilon_t, x_t, factor_eps, factor_count,
+    factor_feas, factor_reward, raw, clamped, vacuous), the order of the
+    ``cbandits bound`` columns."""
+    epsilon_t = schedule.epsilon(t)
+    x = _mass(schedule, t, n)
     factor_eps = 1.0 - epsilon_t / n
     factor_count = 1.0 - n * math.exp(-x / 5.0)
     factor_feas = 1.0 - 2.0 * n * math.exp(-2.0 * delta * delta * x)
@@ -131,15 +118,19 @@ def _bound_terms(x: float, epsilon_t: float, n: int, delta: float, rho: float) -
     return (epsilon_t, x, *factors, raw, *_clamp(factors, raw))
 
 
-def _selection_terms(schedule: EpsilonSchedule, t: int, n: int, delta: float, rho: float) -> tuple:
-    """:func:`_bound_terms` at step ``t`` of ``schedule``."""
-    epsilon_t = schedule.epsilon(t)
-    return _bound_terms(_mass(schedule, t, n), epsilon_t, n, delta, rho)
-
-
-def _bound_report(t: int | None, num_arms: int, delta: float, rho: float, terms: tuple):
+def selection_lower_bound(
+    schedule: EpsilonSchedule,
+    t: int,
+    num_arms: int,
+    delta: float,
+    rho: float,
+) -> BoundReport:
+    """Exact lower bound on the probability that the arm selected at step
+    ``t`` is delta-best, as a function of the schedule's history."""
+    t = _as_int(t, "bad_parameter", "t", 1)
+    num_arms, delta, rho = _check_parameters(num_arms, delta, rho)
     (epsilon_t, x, factor_eps, factor_count, factor_feas, factor_reward,
-     raw, clamped, vacuous) = terms
+     raw, clamped, vacuous) = _selection_terms(schedule, t, num_arms, delta, rho)
     return BoundReport(
         t=t,
         x_t=x,
@@ -155,40 +146,6 @@ def _bound_report(t: int | None, num_arms: int, delta: float, rho: float, terms:
         clamped=clamped,
         vacuous=vacuous,
     )
-
-
-def bound_from_mass(
-    x: float,
-    epsilon_t: float,
-    num_arms: int,
-    delta: float,
-    rho: float,
-    t: int | None = None,
-) -> BoundReport:
-    """Evaluate the four-factor bound at exploration mass ``x``.
-
-    ``epsilon_t`` is the switching probability in force at the step being
-    bounded.  ``delta`` widens the feasibility event; ``rho`` is the
-    minimum reward-mean gap.  Either may be zero, which makes the
-    corresponding factor negative and the bound vacuous.
-    """
-    num_arms, delta, rho = _check_parameters(num_arms, delta, rho)
-    return _bound_report(t, num_arms, delta, rho, _bound_terms(x, epsilon_t, num_arms, delta, rho))
-
-
-def selection_lower_bound(
-    schedule: EpsilonSchedule,
-    t: int,
-    num_arms: int,
-    delta: float,
-    rho: float,
-) -> BoundReport:
-    """Exact lower bound on the probability that the arm selected at step
-    ``t`` is delta-best, as a function of the schedule's history."""
-    t = _as_int(t, "bad_parameter", "t", 1)
-    num_arms, delta, rho = _check_parameters(num_arms, delta, rho)
-    terms = _selection_terms(schedule, t, num_arms, delta, rho)
-    return _bound_report(t, num_arms, delta, rho, terms)
 
 
 @dataclass(frozen=True)

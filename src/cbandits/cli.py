@@ -8,8 +8,7 @@ stdout as YAML; re-parsing that echo reproduces the experiment exactly.
 
 Each subcommand imports only what it uses: ``bound`` is plain Python
 and loads neither PyYAML nor numpy, ``oracle`` and ``validate`` load
-PyYAML to read the config, and only ``run`` (or ``validate`` of a config
-that declares checkpoints) loads the numpy harness.
+PyYAML to read the config, and only ``run`` loads numpy.
 """
 
 from __future__ import annotations

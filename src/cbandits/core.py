@@ -6,10 +6,10 @@ one RNG addressing function, the one CSV cell format
 value is a list, and :func:`_increasing_steps` a list of steps.
 
 Every distribution here has support inside the unit interval and a
-closed-form mean and variance.  Sampling is inverse-transform only: a
-draw is ``quantile(u)`` of exactly one uniform from the replication's
-stream, which keeps trajectories replayable and makes each
-replication's draws the same in any chunk of the kernel.
+closed-form mean.  Sampling is inverse-transform only: a draw is
+``quantile(u)`` of exactly one uniform from the replication's stream,
+which keeps trajectories replayable and makes each replication's draws
+the same in any chunk of the kernel.
 :func:`step_uniforms` is the only place that maps a (step, replication)
 pair to its uniforms.
 
@@ -196,12 +196,12 @@ def _section(
 class Distribution(ABC):
     """A distribution supported on the unit interval.
 
-    Subclasses expose exact first and second moments and an inverse CDF
-    (``quantile``).  A variate is ``quantile(u)`` of one uniform ``u``,
-    whatever the distribution kind.  Finite-support kinds also list their
-    ``atoms``, the table the enumeration oracle reads, and their
-    ``quantile_table``, the one the lockstep kernel gathers from; a
-    continuous kind inherits the ``continuous_support`` error for both.
+    Subclasses expose an exact mean and an inverse CDF (``quantile``).  A
+    variate is ``quantile(u)`` of one uniform ``u``, whatever the
+    distribution kind.  Finite-support kinds also give their
+    ``quantile_table``, which the lockstep kernel gathers from and from
+    which ``atoms``, the table the enumeration oracle reads, is derived;
+    a continuous kind inherits the ``continuous_support`` error for both.
     """
 
     kind: str = "abstract"
@@ -210,11 +210,6 @@ class Distribution(ABC):
     @abstractmethod
     def mean(self) -> float:
         """Exact mean, from the closed form for this kind."""
-
-    @property
-    @abstractmethod
-    def variance(self) -> float:
-        """Exact variance, from the closed form for this kind."""
 
     @abstractmethod
     def quantile(self, u: ArrayLike) -> ArrayLike:
@@ -230,14 +225,21 @@ class Distribution(ABC):
         """Serializable ``{"kind": ..., <params>}`` mapping."""
 
     def atoms(self, exact: bool = False) -> Atoms:
-        """``(value, probability)`` pairs of a finite-support distribution.
+        """``(value, probability)`` pairs of :meth:`quantile_table`, in
+        ascending value order (a stable sort).
 
-        With ``exact``, the probabilities are the exact law of
-        ``quantile(U)`` for ``U`` uniform on [0, 1), as Fractions that sum
-        to exactly 1; otherwise they are the stored parameters as floats.
-        A continuous distribution raises ``continuous_support``.
+        The probability of ``values[i]`` is the width of its cell of
+        [0, 1), whose edges are 0, the cuts clipped at 1, and 1: the exact
+        law of ``quantile(U)`` for ``U`` uniform on [0, 1).  It is a
+        Fraction with ``exact`` (so they sum to exactly 1), otherwise that
+        Fraction correctly rounded to a float.
         """
-        raise self._continuous_support()
+        cuts, values = self.quantile_table()
+        one = Fraction(1)
+        edges = [Fraction(0), *(min(Fraction(c), one) for c in cuts), one]
+        number = Fraction if exact else float
+        widths = [number(hi - lo) for lo, hi in zip(edges, edges[1:])]
+        return tuple(sorted(zip(values, widths), key=lambda atom: atom[0]))
 
     def quantile_table(self) -> QuantileTable:
         """``(cuts, values)`` of a finite-support distribution, with
@@ -245,12 +247,8 @@ class Distribution(ABC):
         cuts are nondecreasing and ``values`` has one more entry.  A
         continuous distribution raises ``continuous_support``.
         """
-        raise self._continuous_support()
-
-    def _continuous_support(self) -> ValidationError:
-        return ValidationError(
-            "continuous_support",
-            f"{self.kind} distribution has continuous support",
+        raise ValidationError(
+            "continuous_support", f"{self.kind} distribution has continuous support"
         )
 
 
@@ -273,19 +271,12 @@ class PointMass(Distribution):
     def mean(self) -> float:
         return self.value
 
-    @property
-    def variance(self) -> float:
-        return 0.0
-
     def quantile(self, u: ArrayLike) -> ArrayLike:
         if isinstance(u, float):
             return self.value
         import numpy as np
 
         return np.full_like(np.asarray(u, dtype=np.float64), self.value)
-
-    def atoms(self, exact: bool = False) -> Atoms:
-        return ((self.value, Fraction(1) if exact else 1.0),)
 
     def quantile_table(self) -> QuantileTable:
         return ((), (self.value,))
@@ -309,10 +300,6 @@ class Bernoulli(Distribution):
     def mean(self) -> float:
         return self.p
 
-    @property
-    def variance(self) -> float:
-        return self.p * (1.0 - self.p)
-
     def quantile(self, u: ArrayLike) -> ArrayLike:
         # P{U < p} = p exactly for U uniform on [0, 1).
         if isinstance(u, float):
@@ -320,10 +307,6 @@ class Bernoulli(Distribution):
         import numpy as np
 
         return (np.asarray(u) < self.p).astype(np.float64)
-
-    def atoms(self, exact: bool = False) -> Atoms:
-        p = Fraction(self.p) if exact else self.p
-        return ((0.0, 1 - p), (1.0, p))
 
     def quantile_table(self) -> QuantileTable:
         return ((self.p,), (1.0, 0.0))
@@ -387,11 +370,6 @@ class Discrete(Distribution):
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probabilities))
 
-    @property
-    def variance(self) -> float:
-        m = self.mean
-        return math.fsum(p * (v - m) ** 2 for v, p in zip(self.values, self.probabilities))
-
     def quantile(self, u: ArrayLike) -> ArrayLike:
         # Atom i for u in [_cum[i-1], _cum[i]); the last atom takes the
         # rest of [0, 1), whatever rounding did to _cum[-1].
@@ -401,16 +379,6 @@ class Discrete(Distribution):
         import numpy as np
 
         return np.asarray(self.values)[np.asarray(cuts).searchsorted(u, side="right")]
-
-    def atoms(self, exact: bool = False) -> Atoms:
-        probs = self.probabilities
-        if exact:
-            # quantile(u) is atom i for u in [_cum[i-1], _cum[i]); the last
-            # atom takes the rest of [0, 1), whatever rounding did to _cum.
-            cuts = [min(Fraction(c), Fraction(1)) for c in self._cum[:-1]]
-            cuts = [Fraction(0)] + cuts + [Fraction(1)]
-            probs = tuple(hi - lo for lo, hi in zip(cuts, cuts[1:]))
-        return tuple(zip(self.values, probs))
 
     def quantile_table(self) -> QuantileTable:
         return (self._cum[:-1], self.values)
@@ -448,11 +416,6 @@ class Beta(Distribution):
     @property
     def mean(self) -> float:
         return self.shape1 / (self.shape1 + self.shape2)
-
-    @property
-    def variance(self) -> float:
-        a, b = self.shape1, self.shape2
-        return a * b / ((a + b) ** 2 * (a + b + 1.0))
 
     def quantile(self, u: ArrayLike) -> ArrayLike:
         out = _betaincinv()(self.shape1, self.shape2, u)
@@ -622,13 +585,15 @@ def step_uniforms(master_seed: int, rep_lo: int, rep_hi: int) -> Iterator[np.nda
     """Uniforms of replications ``[rep_lo, rep_hi)``, one block per step.
 
     Yields, for t = 1, 2, ..., a ``(rep_hi - rep_lo) x DRAWS_PER_STEP``
-    array whose row ``r - rep_lo`` is the Philox block at counter
-    ``(t << 64) + r`` under ``experiment_key(master_seed)``: the four
-    doubles that ``Generator(Philox(key=..., counter=(t << 64) + r))``
-    draws first.  A row depends only on (master_seed, t, r): it is the
-    same whichever block of replications it is drawn with, on any
-    worker, and however long the run is.  One generator serves every
-    step; between steps it skips the other replications' counters.
+    array whose row ``r - rep_lo`` is the Philox4x64-10 block at counter
+    ``(t << 64) + r + 1`` under ``experiment_key(master_seed)``, each
+    64-bit word w read as ``(w >> 11) * 2**-53``: the four doubles that
+    ``Generator(Philox(key=..., counter=(t << 64) + r))`` draws first, as
+    numpy steps the counter before it draws a block.  A row depends only
+    on (master_seed, t, r): it is the same whichever block of
+    replications it is drawn with, on any worker, and however long the
+    run is.  One generator serves every step; between steps it skips the
+    other replications' counters.
     """
     rep_lo = _as_int(rep_lo, "bad_parameter", "rep_lo", 0)
     rep_hi = _as_int(rep_hi, "bad_parameter", "rep_hi", rep_lo + 1, 2**64)

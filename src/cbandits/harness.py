@@ -14,7 +14,9 @@ over the replications that pulled a beta arm.  The draws of step t in
 replication r depend only on (master_seed, t, r), read from
 :func:`~cbandits.core.step_uniforms`, which makes results independent of
 scheduling, worker count and chunk layout, and leaves the estimate at a
-checkpoint unchanged when a later one is added.
+checkpoint unchanged when a later one is added.  numpy is imported only
+where arrays are made, so an :class:`ExperimentConfig` is built and
+checked without it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from cbandits.analysis import (
     FeasibilityProfile,
@@ -44,7 +44,6 @@ from cbandits.core import (
     _betaincinv,
     _format_csv_value,
     _increasing_steps,
-    experiment_key,
     step_uniforms,
 )
 from cbandits.strategies import (
@@ -54,6 +53,9 @@ from cbandits.strategies import (
     EpsilonSchedule,
     _check_strategy,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WILSON_Z",
@@ -118,12 +120,12 @@ class ExperimentConfig:
         if not deltas:
             raise ValidationError("bad_config", "deltas must be non-empty")
         replications = _as_int(self.replications, "bad_config", "replications", 1)
-        experiment_key(self.master_seed)
+        master_seed = _as_int(self.master_seed, "bad_parameter", "master_seed", 0, 2**64 - 1)
         _check_strategy(self.policy, self.tie_rule)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "replications", replications)
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "master_seed", master_seed)
 
     @property
     def horizon(self) -> int:
@@ -217,6 +219,8 @@ def _sampler(dists):
     The replications that pulled a beta arm then get one ``betaincinv``
     call over their arms' shapes, the function ``Beta.quantile`` calls.
     """
+    import numpy as np
+
     if all(isinstance(d, Bernoulli) for d in dists):
         p = np.array([d.p for d in dists])
         # Bernoulli.quantile: U < p, as a double.
@@ -276,6 +280,8 @@ def run_chunk(
       sums, and ``x + 0.0 == x`` for every sum (sums start at +0.0 and
       values are nonnegative), so the arms not pulled keep their bits.
     """
+    import numpy as np
+
     # step_uniforms checks 0 <= rep_lo < rep_hi.
     _as_int(rep_hi, "bad_parameter", "rep_hi", 1, config.replications)
     instance = config.instance
@@ -406,6 +412,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     replications, so the result is identical for any worker count and
     any chunk layout.
     """
+    import numpy as np
+
     workers = _as_int(workers, "bad_parameter", "workers", 1)
     bounds = _chunk_bounds(config.replications, workers)
     if workers == 1 or len(bounds) == 1:
@@ -417,13 +425,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_chunk_worker, tasks))
 
-    n_checkpoints = len(config.checkpoints)
-    n_deltas = len(config.deltas)
-    successes = np.zeros((n_checkpoints, n_deltas), dtype=np.int64)
-    arm_hits = np.zeros((n_checkpoints, config.instance.num_arms), dtype=np.int64)
-    for chunk in chunks:
-        successes += chunk.successes
-        arm_hits += chunk.arm_hits
+    successes = sum(chunk.successes for chunk in chunks)
+    arm_hits = sum(chunk.arm_hits for chunk in chunks)
     cum_rewards = np.concatenate([chunk.cum_rewards for chunk in chunks], axis=1)
     cum_costs = np.concatenate([chunk.cum_costs for chunk in chunks], axis=1)
 

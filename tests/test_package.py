@@ -97,6 +97,7 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
          "--t-grid", "10", "100"],
         ["oracle", "--config", str(config), "--t", "3"],
         ["validate", "--config", str(no_checkpoints)],
+        ["validate", "--config", str(config)],
         ["run", "--config", str(config), "--out-dir", str(tmp_path / "out"), "--workers", "1"],
     ]
     # The sets accumulate: each command loads what the earlier ones did.
@@ -105,6 +106,7 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
         set(),  # bound
         {"yaml"},  # oracle
         {"yaml"},  # validate without checkpoints
+        {"yaml"},  # validate with checkpoints
         {"yaml", "numpy"},  # run --workers 1
     ]
 
