@@ -11,9 +11,10 @@ the exact law (the default) it runs on Python ints: the sums are
 integer multiples of one value unit, and the masses integer numerators
 over one denominator per layer, divided out once at the end.  For the
 simulator's law it runs on its doubles.  At each state it applies the
-greedy rule of :func:`cbandits.strategies.greedy_ties`, for the
-configured policy and tie rule.  The float law is the ground truth the
-Monte Carlo kernel (``harness.run_chunk``) is tested against.
+greedy rule of :func:`cbandits.strategies.greedy_ties` for the
+configured tie rule; the policy enters only as the rule's schedule and
+budget (``strategies._selection_inputs``).  The float law is the ground
+truth the Monte Carlo kernel (``harness.run_chunk``) is tested against.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from typing import Sequence
 from cbandits.core import ProblemInstance, ValidationError, _as_float, _as_int
 from cbandits.strategies import (
     POLICY_CONSTRAINED,
-    POLICY_UNIFORM,
     TIE_LOWEST_INDEX,
     EpsilonSchedule,
     _check_strategy,
+    _selection_inputs,
     greedy_ties,
 )
 
@@ -206,7 +207,7 @@ class OracleResult:
         return out
 
 
-def _forward_pass(tables, steps, level, scale, policy, tie_rule, max_nodes):
+def _forward_pass(tables, steps, level, scale, tie_rule, max_nodes):
     """Selection mass of each arm at the last step, and the states expanded.
 
     ``tables[a]`` holds arm ``a``'s reward and cost atoms as (value, mass)
@@ -236,7 +237,7 @@ def _forward_pass(tables, steps, level, scale, policy, tie_rule, max_nodes):
         for state, prob in layer.items():
             law = [explore] * n
             counts, reward_sums, cost_sums = zip(*state)
-            ties = greedy_ties(counts, reward_sums, cost_sums, level, policy, tie_rule, scale)
+            ties = greedy_ties(counts, reward_sums, cost_sums, level, tie_rule, scale)
             share = shares[len(ties)]
             for a in ties or range(n):
                 law[a] = law[a] + share
@@ -344,7 +345,7 @@ def exact_selection_probability(
     """Exact law of the arm selected at step ``t``, by exact enumeration.
 
     ``policy`` and ``tie_rule`` are the strategy's (config key
-    ``strategy``); under the ``uniform`` policy every step is uniform.
+    ``strategy``).
     Requires every reward and cost distribution to have finite support
     (:meth:`cbandits.core.Distribution.atoms`).  The work grows with the
     number of distinct (counts, reward sums, cost sums) states at each
@@ -376,16 +377,14 @@ def exact_selection_probability(
     tables = _atom_tables(instance, num)
     deltas = tuple(_as_float(d, "bad_parameter", "delta", 0.0) for d in deltas)
 
-    if policy == POLICY_UNIFORM:
-        eps = [num(1)] * t
-    else:
-        eps = [num(schedule.epsilon(n)) for n in range(1, t + 1)]
-    level = num(instance.constraint_level)
+    epsilon, level = _selection_inputs(policy, schedule, instance.constraint_level)
+    eps = [num(epsilon(n)) for n in range(1, t + 1)]
+    level = num(level)
     if num is Fraction:
         tables, steps, level, scale, denominator = _integer_inputs(tables, eps, level)
     else:
         steps, scale = _float_steps(eps, instance.num_arms), None
-    mass, nodes = _forward_pass(tables, steps, level, scale, policy, tie_rule, max_nodes)
+    mass, nodes = _forward_pass(tables, steps, level, scale, tie_rule, max_nodes)
     if num is Fraction:
         mass = [Fraction(m, denominator) for m in mass]
 

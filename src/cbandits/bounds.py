@@ -221,19 +221,14 @@ def closed_form_lower_bound(
     rho: float,
     t: float,
     variant: str = VARIANT_RHO_SQUARED,
-    exponents: tuple[float, float] | None = None,
 ) -> ClosedFormReport:
     """Closed-form relaxation of the selection bound for the schedule
     min(1, k/t), requiring k > 1 and t >= k.
 
     The ``rho_squared`` variant never exceeds the exact bound; the
-    ``rho_linear`` variant can when rho < 1.  ``exponents``, when given,
-    is ``closed_form_exponents(k, num_arms, delta, rho, variant)``, which
-    a caller evaluating many t computes once.
+    ``rho_linear`` variant can when rho < 1.
     """
-    if exponents is None:
-        exponents = closed_form_exponents(k, num_arms, delta, rho, variant)
-    alpha, log_beta = exponents
+    alpha, log_beta = closed_form_exponents(k, num_arms, delta, rho, variant)
     k = float(k)
     t = _as_float(t, "bad_parameter", "t")
     if t < k:

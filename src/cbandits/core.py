@@ -14,11 +14,11 @@ the same in any chunk of the kernel.
 pair to its uniforms.
 
 Building, checking and describing distributions and instances is plain
-Python.  numpy is imported only by the code that draws or takes arrays
-(:func:`experiment_key`, :func:`step_uniforms` and the array branch of
-each ``quantile``), and scipy only when a beta variate is first drawn
-(:func:`_betaincinv`), so ``cbandits bound``, ``oracle`` and
-``validate`` load neither.
+Python, and so is ``quantile``, which takes one scalar: the arrays of
+variates are drawn by the harness's sampler.  numpy is imported only by
+:func:`experiment_key` and :func:`step_uniforms`, and scipy only when a
+beta variate is first drawn (:func:`_betaincinv`), so ``cbandits
+bound``, ``oracle`` and ``validate`` load neither.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ PROBABILITY_TOL = 1e-12
 # yields exactly four doubles, so one counter block == one replication-step.
 DRAWS_PER_STEP = 4
 
-ArrayLike = Union[float, "np.ndarray"]
 # (value, probability) pairs; the probability is a Fraction in exact mode.
 Atoms = tuple[tuple[float, Union[float, Fraction]], ...]
 # (cuts, values): quantile(u) is values[number of cuts <= u].
@@ -198,10 +197,11 @@ class Distribution(ABC):
 
     Subclasses expose an exact mean and an inverse CDF (``quantile``).  A
     variate is ``quantile(u)`` of one uniform ``u``, whatever the
-    distribution kind.  Finite-support kinds also give their
+    distribution kind.  Finite-support kinds give only their
     ``quantile_table``, which the lockstep kernel gathers from and from
-    which ``atoms``, the table the enumeration oracle reads, is derived;
-    a continuous kind inherits the ``continuous_support`` error for both.
+    which both ``quantile`` and ``atoms``, the table the enumeration
+    oracle reads, are derived; a continuous kind overrides ``quantile``
+    and inherits the ``continuous_support`` error for the tables.
     """
 
     kind: str = "abstract"
@@ -211,14 +211,12 @@ class Distribution(ABC):
     def mean(self) -> float:
         """Exact mean, from the closed form for this kind."""
 
-    @abstractmethod
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        """Inverse CDF evaluated at ``u`` in [0, 1).
-
-        Accepts a scalar or an ndarray and returns the same shape.  The
-        pushforward of ``U[0, 1)`` under this map is the distribution
-        itself.
-        """
+    def quantile(self, u: float) -> float:
+        """Inverse CDF at a scalar ``u`` in [0, 1), whose pushforward of
+        ``U[0, 1)`` is the distribution: ``values[number of cuts <= u]`` of
+        :meth:`quantile_table`."""
+        cuts, values = self.quantile_table()
+        return values[bisect.bisect_right(cuts, u)]
 
     @abstractmethod
     def to_config(self) -> dict:
@@ -271,13 +269,6 @@ class PointMass(Distribution):
     def mean(self) -> float:
         return self.value
 
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        if isinstance(u, float):
-            return self.value
-        import numpy as np
-
-        return np.full_like(np.asarray(u, dtype=np.float64), self.value)
-
     def quantile_table(self) -> QuantileTable:
         return ((), (self.value,))
 
@@ -300,15 +291,8 @@ class Bernoulli(Distribution):
     def mean(self) -> float:
         return self.p
 
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        # P{U < p} = p exactly for U uniform on [0, 1).
-        if isinstance(u, float):
-            return 1.0 if u < self.p else 0.0
-        import numpy as np
-
-        return (np.asarray(u) < self.p).astype(np.float64)
-
     def quantile_table(self) -> QuantileTable:
+        # 1 for u < p: P{U < p} = p exactly for U uniform on [0, 1).
         return ((self.p,), (1.0, 0.0))
 
     def to_config(self) -> dict:
@@ -370,17 +354,9 @@ class Discrete(Distribution):
     def mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probabilities))
 
-    def quantile(self, u: ArrayLike) -> ArrayLike:
+    def quantile_table(self) -> QuantileTable:
         # Atom i for u in [_cum[i-1], _cum[i]); the last atom takes the
         # rest of [0, 1), whatever rounding did to _cum[-1].
-        cuts = self._cum[:-1]
-        if isinstance(u, float):
-            return self.values[bisect.bisect_right(cuts, u)]
-        import numpy as np
-
-        return np.asarray(self.values)[np.asarray(cuts).searchsorted(u, side="right")]
-
-    def quantile_table(self) -> QuantileTable:
         return (self._cum[:-1], self.values)
 
     def to_config(self) -> dict:
@@ -417,11 +393,8 @@ class Beta(Distribution):
     def mean(self) -> float:
         return self.shape1 / (self.shape1 + self.shape2)
 
-    def quantile(self, u: ArrayLike) -> ArrayLike:
-        out = _betaincinv()(self.shape1, self.shape2, u)
-        if isinstance(u, float):
-            return float(out)
-        return out
+    def quantile(self, u: float) -> float:
+        return float(_betaincinv()(self.shape1, self.shape2, u))
 
     def to_config(self) -> dict:
         return {"kind": "beta", "shape1": self.shape1, "shape2": self.shape2}

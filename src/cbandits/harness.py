@@ -48,10 +48,10 @@ from cbandits.core import (
 )
 from cbandits.strategies import (
     POLICY_CONSTRAINED,
-    POLICY_UNIFORM,
     TIE_LOWEST_INDEX,
     EpsilonSchedule,
     _check_strategy,
+    _selection_inputs,
 )
 
 if TYPE_CHECKING:
@@ -253,32 +253,53 @@ def _sampler(dists):
     return sample
 
 
-def run_chunk(
-    config: ExperimentConfig,
-    rep_lo: int,
-    rep_hi: int,
-) -> ChunkResult:
+def _greedy_arm(counts, reward_sums, cost_sums, level, uniform_ties, u_arm):
+    """:func:`~cbandits.strategies.greedy_ties` over a block of
+    replications: each one's greedy arm, the ``floor(u_arm * j)``-th of
+    the ``j`` arms it returns under ``uniform_ties``, else the first, and
+    the arms' best mean, ``-inf`` exactly where no arm looks feasible.
+
+    State is arm-major, ``(arm, replication)``, and every float is the
+    result of the same elementwise operation on the same operands in each
+    replication, whatever the block.  Counts are doubles, which hold
+    integers exactly below 2**53, so ``level * count`` and ``sum / count``
+    round as with integer counts.
+    """
+    import numpy as np
+
+    feasible = (counts > 0) & (cost_sums <= level * counts)
+    means = np.where(feasible, reward_sums / np.maximum(counts, 1), -np.inf)
+    best = np.maximum.reduce(means)
+    is_tie = means == best
+    if uniform_ties:
+        n_ties = is_tie.sum(axis=0)
+        pick = np.minimum((u_arm * n_ties).astype(np.int64), n_ties - 1)
+    else:
+        pick = 0
+    # The greedy arm is the pick-th (0 under lowest-index ties) maximum in
+    # index order: the number of arms with at most ``pick`` maxima up to
+    # and including them.  The last arm never counts.
+    seen = np.zeros(len(u_arm), dtype=np.int64)
+    greedy = np.zeros(len(u_arm), dtype=np.int64)
+    for ties in is_tie[:-1]:
+        seen += ties
+        greedy += seen <= pick
+    return greedy, best
+
+
+def run_chunk(config: ExperimentConfig, rep_lo: int, rep_hi: int) -> ChunkResult:
     """Advance replications [rep_lo, rep_hi) in lockstep.
 
     Row r - rep_lo of step t's uniform block holds replication r's
-    (branch, arm, reward, cost) uniforms.  With ``u_branch < eps_t``, or
-    always under the ``uniform`` policy, the arm is ``floor(u_arm * n)``
-    over all n arms.  Otherwise it is the ``floor(u_arm * j)``-th of the
-    j arms :func:`~cbandits.strategies.greedy_ties` returns, or
-    ``floor(u_arm * n)`` when there are none.  Every float is the result
-    of the same elementwise operation on the same operands in each
-    replication, whatever the chunk:
-
-    - state is arm-major, ``(arm, replication)``; counts are doubles,
-      which hold integers exactly below 2**53, so ``level * count`` and
-      ``sum / count`` round as with integer counts;
-    - the greedy arm is the ``pick``-th of the arms equal to the
-      maximum, counted in index order; under lowest-index ties ``pick``
-      is 0, the first maximum;
-    - no arm looks feasible exactly when the maximum is ``-inf``;
-    - a pull adds the one-hot product ``hit * value`` to every arm's
-      sums, and ``x + 0.0 == x`` for every sum (sums start at +0.0 and
-      values are nonnegative), so the arms not pulled keep their bits.
+    (branch, arm, reward, cost) uniforms.  The policy enters only as the
+    rule's inputs (:func:`~cbandits.strategies._selection_inputs`).  With
+    ``u_branch < eps_t`` the arm is ``floor(u_arm * n)`` over all n arms;
+    otherwise it is :func:`_greedy_arm`'s, or ``floor(u_arm * n)`` when no
+    arm looks feasible.  Where eps_t = 1 every replication explores, as
+    ``u_branch < 1``, so the greedy arm is not computed.  A pull adds the
+    one-hot product ``hit * value`` to every arm's sums, and ``x + 0.0 ==
+    x`` for every sum (sums start at +0.0 and values are nonnegative), so
+    the arms not pulled keep their bits.
     """
     import numpy as np
 
@@ -291,7 +312,7 @@ def run_chunk(
     n_deltas = len(config.deltas)
 
     stream = step_uniforms(config.master_seed, rep_lo, rep_hi)
-    epsilon = config.schedule.epsilon
+    epsilon, level = _selection_inputs(config.policy, config.schedule, instance.constraint_level)
     cp_index = {t: i for i, t in enumerate(config.checkpoints)}
     membership = np.zeros((n_deltas, n_arms), dtype=bool)
     for i, delta in enumerate(config.deltas):
@@ -309,8 +330,6 @@ def run_chunk(
     cum_costs = np.zeros((n_checkpoints, n_reps))
 
     arm_ids = np.arange(n_arms)[:, None]
-    level = instance.constraint_level
-    policy = config.policy
     uniform_ties = config.tie_rule != TIE_LOWEST_INDEX
     sample_reward = _sampler([arm.reward for arm in instance.arms])
     sample_cost = _sampler([arm.cost for arm in instance.arms])
@@ -318,32 +337,12 @@ def run_chunk(
     for t in range(1, config.horizon + 1):
         u_branch, u_arm, u_reward, u_cost = next(stream).T
 
-        random_pick = np.minimum((u_arm * n_arms).astype(np.int64), n_arms - 1)
-        if policy == POLICY_UNIFORM:
-            arm = random_pick
-        else:
-            if policy == POLICY_CONSTRAINED:
-                feasible = (counts > 0) & (cost_sums <= level * counts)
-            else:
-                feasible = counts > 0
-            means = np.where(feasible, reward_sums / np.maximum(counts, 1), -np.inf)
-            best = np.maximum.reduce(means)
-            is_tie = means == best
-            if uniform_ties:
-                n_ties = is_tie.sum(axis=0)
-                pick = np.minimum((u_arm * n_ties).astype(np.int64), n_ties - 1)
-            else:
-                pick = 0
-            # The greedy arm is the pick-th tie in index order: the number
-            # of arms with at most ``pick`` ties up to and including them.
-            # The last arm never counts, as its running count is n_ties.
-            seen = np.zeros(n_reps, dtype=np.int64)
-            greedy = np.zeros(n_reps, dtype=np.int64)
-            for a in range(n_arms - 1):
-                seen += is_tie[a]
-                greedy += seen <= pick
-            take_random = (u_branch < epsilon(t)) | (best == -np.inf)
-            arm = np.where(take_random, random_pick, greedy)
+        arm = np.minimum((u_arm * n_arms).astype(np.int64), n_arms - 1)
+        eps_t = epsilon(t)
+        if eps_t < 1.0:
+            greedy, best = _greedy_arm(counts, reward_sums, cost_sums, level, uniform_ties, u_arm)
+            take_random = (u_branch < eps_t) | (best == -np.inf)
+            arm = np.where(take_random, arm, greedy)
 
         hits = arm == arm_ids
         rewards = sample_reward(arm, u_reward)

@@ -1,15 +1,17 @@
 """Exploration schedules and the constrained epsilon-greedy selection rule.
 
-The greedy decision is written once as a scalar, over plain per-arm
-statistics: :func:`greedy_ties` decides which arms the greedy branch may
-pick, in float or exact integer arithmetic.  The exact oracle
-(``analysis``) calls it at every state, and the vectorized harness
-kernel (``harness.run_chunk``) applies the same rule to a block of
-replications at once.  A step consumes exactly
+The strategy is one rule: explore with probability epsilon_t, otherwise
+play the best arm among those that look feasible.  Each policy is an
+input to it (:func:`_selection_inputs`).  The greedy decision is written
+once as a scalar, over plain per-arm statistics: :func:`greedy_ties`
+decides which arms the greedy branch may pick, in float or exact integer
+arithmetic.  The exact oracle (``analysis``) calls it at every state,
+and the harness kernel (``harness._greedy_arm``) applies the same rule
+to a block of replications at once.  A step consumes exactly
 :data:`~cbandits.core.DRAWS_PER_STEP` uniforms, one Philox block, in a
 fixed order (branch, arm, reward, cost), whether or not a draw's value
-ends up used.  Both read ``schedule.epsilon(t)`` at each step; no
-schedule is stored over the horizon.
+ends up used.  Both read ``epsilon(t)`` at each step; no schedule is
+stored over the horizon.
 """
 
 from __future__ import annotations
@@ -338,22 +340,38 @@ def _check_strategy(policy: str, tie_rule: str) -> None:
         )
 
 
+def _selection_inputs(policy: str, schedule: EpsilonSchedule, level: float) -> tuple:
+    """``(epsilon, level)``: the exploration probability ``epsilon(t)`` and
+    the budget under which the constrained rule is ``policy``.
+
+    ``uniform`` is epsilon_t = 1.  ``unconstrained_eps_greedy`` is a budget
+    of 1, which every played arm meets: each cost lies in [0, 1], and a
+    running sum of ``count`` costs, rounded after each addition, is at most
+    ``count``, since rounding is monotone and ``count`` is an exact double.
+    So ``cost_sum <= 1.0 * count``, in doubles and on the oracle's scaled
+    integers alike.
+    """
+    if policy == POLICY_UNIFORM:
+        return ConstantSchedule(1.0).epsilon, level
+    if policy == POLICY_UNCONSTRAINED:
+        return schedule.epsilon, 1.0
+    return schedule.epsilon, level
+
+
 def greedy_ties(
     counts: Sequence[int],
     reward_sums: Sequence,
     cost_sums: Sequence,
     level,
-    policy: str,
     tie_rule: str,
     scale: int | None = None,
 ) -> list[int]:
     """Arms the greedy branch picks among, by its arm uniform.
 
-    The candidates are the played arms, and under the constrained policy
-    only those that look feasible, ``cost_sum <= level * count``, the
-    boundary included.  The result is the candidates with the largest
-    empirical mean reward ``reward_sum / count``: all of them under the
-    ``uniform`` tie rule, the lowest-indexed one under ``lowest_index``.
+    The candidates are the played arms that look feasible, ``cost_sum <=
+    level * count``, the boundary included.  The result is the candidates
+    with the largest empirical mean reward ``reward_sum / count``: all of
+    them under the ``uniform`` tie rule, the first under ``lowest_index``.
     It is empty when there is no candidate, and the greedy branch then
     falls back to a uniform arm.  Float sums and level give the
     simulator's arithmetic.  Integer sums and level, all multiples of one
@@ -364,7 +382,7 @@ def greedy_ties(
     best = None
     ties = []
     for a, count in enumerate(counts):
-        if count > 0 and (policy != POLICY_CONSTRAINED or cost_sums[a] <= level * count):
+        if count > 0 and cost_sums[a] <= level * count:
             if scale is None:
                 mean = reward_sums[a] / count
             else:

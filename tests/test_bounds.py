@@ -22,6 +22,7 @@ from cbandits.bounds import (
     VARIANT_RHO_LINEAR,
     VARIANT_RHO_SQUARED,
     VARIANTS,
+    _closed_form_terms,
     _mass,
     closed_form_exponents,
     closed_form_lower_bound,
@@ -197,13 +198,17 @@ class TestClosedForm:
         assert value > 0 and not report.vacuous
         assert close(report.clamped, value)
 
-    def test_given_exponents_give_the_same_report(self):
+    def test_report_matches_the_row_terms(self):
+        # ``cbandits bound`` writes its rows from the private terms.
         for variant in (VARIANT_RHO_SQUARED, VARIANT_RHO_LINEAR):
-            exponents = closed_form_exponents(40.0, 3, 0.25, 0.3, variant)
+            alpha, log_beta = closed_form_exponents(40.0, 3, 0.25, 0.3, variant)
             for t in (40.0, 1e3, 1e8):
-                assert closed_form_lower_bound(
-                    40.0, 3, 0.25, 0.3, t, variant, exponents
-                ) == closed_form_lower_bound(40.0, 3, 0.25, 0.3, t, variant)
+                report = closed_form_lower_bound(40.0, 3, 0.25, 0.3, t, variant)
+                assert (report.alpha, report.log_beta) == (alpha, log_beta)
+                assert (
+                    report.factor_eps, report.factor_tail, report.raw_product,
+                    report.clamped, report.vacuous,
+                ) == _closed_form_terms(40.0, 3, t, alpha, log_beta)
 
     def test_exponent_variants_differ_only_in_reward_term(self):
         squared = closed_form_exponents(100.0, 2, 0.3, 0.2, VARIANT_RHO_SQUARED)

@@ -10,6 +10,7 @@ from numpy.random import Generator, Philox
 from scipy import integrate, stats
 
 import cbandits.core as core
+from cbandits.harness import _sampler
 from cbandits.core import (
     DRAWS_PER_STEP,
     Arm,
@@ -72,8 +73,7 @@ def test_point_mass_quantile_is_constant():
     dist = PointMass(0.7)
     assert dist.quantile(0.0) == 0.7
     assert dist.quantile(0.999) == 0.7
-    out = dist.quantile(np.array([0.1, 0.9]))
-    assert np.array_equal(out, np.array([0.7, 0.7]))
+    assert dist.quantile(np.nextafter(1.0, 0.0)) == 0.7
 
 
 def test_bernoulli_quantile_threshold():
@@ -82,8 +82,7 @@ def test_bernoulli_quantile_threshold():
     assert dist.quantile(0.2499) == 1.0
     assert dist.quantile(0.25) == 0.0
     assert dist.quantile(0.9) == 0.0
-    out = dist.quantile(np.array([0.1, 0.25, 0.3]))
-    assert np.array_equal(out, np.array([1.0, 0.0, 0.0]))
+    assert [dist.quantile(u) for u in (0.1, 0.25, 0.3)] == [1.0, 0.0, 0.0]
 
 
 def test_discrete_quantile_cells():
@@ -100,14 +99,21 @@ def test_discrete_quantile_cells():
 def test_beta_quantile_inverts_cdf():
     dist = Beta(2.0, 3.0)
     u = np.linspace(0.01, 0.99, 23)
-    x = dist.quantile(u)
+    x = [dist.quantile(float(v)) for v in u]
+    assert all(type(v) is float for v in x)
     np.testing.assert_allclose(stats.beta.cdf(x, 2.0, 3.0), u, atol=1e-12)
     assert dist.quantile(0.5) == pytest.approx(stats.beta.ppf(0.5, 2.0, 3.0), abs=1e-14)
 
 
+def draw(dist, u):
+    """Variates of ``dist`` at the uniforms ``u``, through the lockstep
+    kernel's sampler."""
+    return _sampler([dist])(np.zeros(len(u), dtype=np.int64), u)
+
+
 @pytest.mark.parametrize("dist,_m,_v", EXPECTED_MOMENTS)
 def test_samples_stay_in_unit_interval(dist, _m, _v):
-    values = np.asarray(dist.quantile(np.random.default_rng(7).random(20_000)))
+    values = draw(dist, np.random.default_rng(7).random(20_000))
     assert values.min() >= 0.0
     assert values.max() <= 1.0
 
@@ -115,7 +121,7 @@ def test_samples_stay_in_unit_interval(dist, _m, _v):
 @pytest.mark.parametrize("dist,mean,variance", EXPECTED_MOMENTS)
 def test_law_of_large_numbers(dist, mean, variance):
     n = 1_000_000
-    values = np.asarray(dist.quantile(np.random.default_rng(20260819).random(n)))
+    values = draw(dist, np.random.default_rng(20260819).random(n))
     # Four-sigma band around the exact mean, plus float-summation slack.
     tol = 4.0 * math.sqrt(variance / n) + 1e-12
     assert abs(values.mean() - mean) <= tol
@@ -194,8 +200,9 @@ def test_quantile_table_literals():
 
 
 def test_discrete_tables_match_numpy_cumsum():
-    # _cum is a running sum in plain Python; the tables, the exact atoms and
-    # both quantile branches are those of np.cumsum's cuts, bit for bit.
+    # _cum is a running sum in plain Python; the tables, the exact atoms,
+    # the kernel's sampler and quantile are those of np.cumsum's cuts, bit
+    # for bit.
     rng = np.random.default_rng(20261019)
     for i in range(1000):
         n = int(rng.integers(1, 9))
@@ -215,7 +222,7 @@ def test_discrete_tables_match_numpy_cumsum():
         assert dist.atoms(exact=True) == tuple(sorted(exact, key=lambda atom: atom[0]))
         u = np.concatenate([rng.random(8), cum[:-1], [0.0, np.nextafter(1.0, 0.0)]])
         expected = np.asarray(values)[cum[:-1].searchsorted(u, side="right")]
-        assert np.array_equal(dist.quantile(u), expected)
+        assert np.array_equal(draw(dist, u), expected)
         assert [dist.quantile(float(x)) for x in u] == expected.tolist()
 
 

@@ -34,6 +34,7 @@ from cbandits.strategies import (
     TIE_UNIFORM,
     ConstantSchedule,
     InverseTimeSchedule,
+    greedy_ties,
 )
 from cbandits.analysis import delta_best_arms, exact_selection_probability
 import cbandits.harness as harness
@@ -232,6 +233,141 @@ SAMPLER_CASES = {
     "tied_point_mass_costs": [arm.cost for arm in tied_point_mass_instance().arms],
     "all_beta": [Beta(2.0, 3.0), Beta(0.5, 0.5), Beta(6.0, 1.5)],
 }
+
+
+def random_states(rng, n_arms, n_reps, level):
+    """Arm-major (counts, reward_sums, cost_sums) as the kernel keeps them:
+    up to four plays per arm, summed in order, with rewards and costs
+    drawn mostly from a few dyadic values, so that means tie exactly and
+    cost sums land on ``level * count``.  Replication 0 plays nothing, and
+    replication 1 pays cost 1 on every play: over a budget below 1, on the
+    boundary of a budget of 1."""
+    pool = np.array([0.0, 0.25, 0.5, 1.0, level])
+    counts = rng.integers(0, 5, (n_arms, n_reps)) * (rng.random((n_arms, n_reps)) < 0.8)
+    counts[:, 0] = 0
+    sums = np.zeros((2, n_arms, n_reps))
+    for play in range(4):
+        draws = np.where(rng.random(sums.shape) < 0.7, rng.choice(pool, sums.shape),
+                         rng.random(sums.shape))
+        draws[1, :, 1] = 1.0
+        sums += (counts > play) * draws
+    if level < 1.0:
+        counts[:, 1] = np.maximum(counts[:, 1], 1)
+        sums[1, :, 1] = counts[:, 1]
+    return counts.astype(np.float64), sums[0], sums[1]
+
+
+class TestGreedyArmMatchesScalarRule:
+    @pytest.mark.parametrize("level", [0.5, 1.0])
+    @pytest.mark.parametrize("tie_rule", [TIE_LOWEST_INDEX, TIE_UNIFORM])
+    def test_greedy_arm_is_a_greedy_ties_pick(self, tie_rule, level):
+        rng = np.random.default_rng(20261020)
+        seen = {"empty": 0, "tie": 0, "boundary": 0}
+        for n_arms in (2, 3, 5):
+            counts, reward_sums, cost_sums = random_states(rng, n_arms, 400, level)
+            u_arm = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], rng.random(398)])
+            greedy, best = harness._greedy_arm(
+                counts, reward_sums, cost_sums, level, tie_rule == TIE_UNIFORM, u_arm
+            )
+            seen["boundary"] += int(((cost_sums == level * counts) & (counts > 0)).sum())
+            for r in range(len(u_arm)):
+                ties = greedy_ties(
+                    counts[:, r].astype(int).tolist(), reward_sums[:, r].tolist(),
+                    cost_sums[:, r].tolist(), level, TIE_UNIFORM,
+                )
+                assert (best[r] == -math.inf) == (not ties)
+                if not ties:
+                    seen["empty"] += 1
+                    continue
+                seen["tie"] += len(ties) > 1
+                pick = math.floor(u_arm[r] * len(ties)) if tie_rule == TIE_UNIFORM else 0
+                assert greedy[r] == ties[pick], (r, ties)
+        assert min(seen.values()) > 0, seen
+
+
+def policy_instance(level=0.5) -> ProblemInstance:
+    # Costs at 1 - 2**-53, at 1 and near 1: every played arm meets a budget
+    # of 1, and only arm 0 meets 0.5.
+    return ProblemInstance(
+        arms=(
+            Arm(Bernoulli(0.3), Discrete((0.0, 0.5), (0.5, 0.5))),
+            Arm(Discrete((0.0, 1.0), (0.25, 0.75)), Discrete((1.0 - 2**-53, 1.0), (0.5, 0.5))),
+            Arm(Beta(2.0, 3.0), PointMass(1.0)),
+            Arm(PointMass(0.9), Beta(5.0, 0.2)),
+        ),
+        constraint_level=level,
+    )
+
+
+class TestPoliciesAreRuleInputs:
+    """The baselines are the constrained rule on other inputs, bit for bit:
+    ``uniform`` is eps = 1, and ``unconstrained_eps_greedy`` a budget of 1."""
+
+    @staticmethod
+    def chunk(instance, schedule, **strategy):
+        config = base_config(
+            instance=instance, schedule=schedule, checkpoints=range(1, 61),
+            deltas=(0.0, 0.3), replications=64, master_seed=21, **strategy,
+        )
+        chunk = run_chunk(config, 0, config.replications)
+        return chunk.successes, chunk.arm_hits, chunk.cum_rewards, chunk.cum_costs
+
+    @staticmethod
+    def same_bits(a, b):
+        return all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("tie_rule", [TIE_LOWEST_INDEX, TIE_UNIFORM])
+    def test_uniform_is_eps_one(self, tie_rule):
+        instance = policy_instance()
+        uniform = self.chunk(
+            instance, InverseTimeSchedule(5.0), policy=POLICY_UNIFORM, tie_rule=tie_rule
+        )
+        eps_one = self.chunk(instance, ConstantSchedule(1.0), tie_rule=tie_rule)
+        assert self.same_bits(uniform, eps_one)
+
+    @pytest.mark.parametrize("tie_rule", [TIE_LOWEST_INDEX, TIE_UNIFORM])
+    def test_unconstrained_is_a_budget_of_one(self, tie_rule):
+        # Successes depend on the level through the delta-best sets.
+        schedule = InverseTimeSchedule(3.0)
+        free = self.chunk(
+            policy_instance(), schedule, policy=POLICY_UNCONSTRAINED, tie_rule=tie_rule
+        )
+        budget_one = self.chunk(policy_instance(1.0), schedule, tie_rule=tie_rule)
+        assert self.same_bits(free[1:], budget_one[1:])
+        # The budget of 0.5 rules arms out: the constrained run differs.
+        assert not self.same_bits(free[1:], self.chunk(policy_instance(), schedule)[1:])
+
+    @pytest.mark.parametrize("method", ["fraction", "float"])
+    @pytest.mark.parametrize("tie_rule", [TIE_LOWEST_INDEX, TIE_UNIFORM])
+    def test_oracle_policies_are_rule_inputs(self, tie_rule, method):
+        finite = ProblemInstance(
+            arms=tuple(
+                Arm(arm.reward, arm.cost)
+                for arm in policy_instance().arms
+                if not isinstance(arm.reward, Beta) and not isinstance(arm.cost, Beta)
+            )
+            + (Arm(PointMass(0.6), PointMass(1.0)),),
+            constraint_level=0.5,
+        )
+        budget_one = ProblemInstance(arms=finite.arms, constraint_level=1.0)
+        schedule = InverseTimeSchedule(2.0)
+
+        def oracle(instance, schedule, policy):
+            return exact_selection_probability(
+                instance, schedule, 5, deltas=(0.0, 0.3), tie_rule=tie_rule,
+                policy=policy, method=method,
+            )
+
+        assert oracle(finite, schedule, POLICY_UNIFORM) == oracle(
+            finite, ConstantSchedule(1.0), POLICY_CONSTRAINED
+        )
+        free = oracle(finite, schedule, POLICY_UNCONSTRAINED)
+        level_one = oracle(budget_one, schedule, POLICY_CONSTRAINED)
+        for field in ("nodes", "arm_probabilities", "arm_probabilities_exact"):
+            assert getattr(free, field) == getattr(level_one, field), field
+        assert free.arm_probabilities != oracle(
+            finite, schedule, POLICY_CONSTRAINED
+        ).arm_probabilities
 
 
 class TestSamplerMatchesQuantile:

@@ -73,18 +73,24 @@ for argv in json.loads(sys.argv[1]):
 PROBED = ("numpy", "yaml", "scipy", "concurrent.futures.process")
 
 
-def modules_loaded_after(tmp_path, argvs):
-    """The probed modules loaded in a fresh interpreter after ``import
-    cbandits.cli`` and then after each of ``argvs``, as sets."""
+def run_fresh(tmp_path, code, *args):
+    """Lines printed by ``code`` run with ``args`` in a fresh interpreter."""
     env = dict(os.environ)
     src = str(Path(cbandits.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs), json.dumps(PROBED)],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    return [set(json.loads(line)) for line in proc.stdout.splitlines()]
+    return proc.stdout.splitlines()
+
+
+def modules_loaded_after(tmp_path, argvs):
+    """The probed modules loaded in a fresh interpreter after ``import
+    cbandits.cli`` and then after each of ``argvs``, as sets."""
+    lines = run_fresh(tmp_path, _IMPORT_PROBE, json.dumps(argvs), json.dumps(PROBED))
+    return [set(json.loads(line)) for line in lines]
 
 
 def test_each_command_imports_only_what_it_uses(tmp_path):
@@ -122,3 +128,19 @@ def test_beta_arm_imports_scipy(tmp_path):
     argv = ["run", "--config", str(config), "--out-dir", str(tmp_path / "out"),
             "--workers", "2"]
     assert modules_loaded_after(tmp_path, [argv])[-1] == set(PROBED)
+
+
+def test_finite_quantile_loads_no_numpy(tmp_path):
+    # ``quantile`` reads the kind's table with ``bisect``; arrays of
+    # variates are the harness's sampler's.
+    probe = """\
+import sys
+from cbandits.core import Bernoulli, Discrete, PointMass
+dists = (PointMass(0.3), Bernoulli(0.25), Discrete((0.0, 0.5, 1.0), (0.2, 0.3, 0.5)))
+print([d.quantile(u) for d in dists for u in (0.0, 0.25, 0.5, 0.999)])
+print("numpy" in sys.modules)
+"""
+    assert run_fresh(tmp_path, probe) == [
+        "[0.3, 0.3, 0.3, 0.3, 1.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0]",
+        "False",
+    ]

@@ -22,7 +22,6 @@ import cbandits.harness as harness
 import cbandits.strategies as strategies
 from cbandits.harness import ExperimentConfig, run_chunk
 from cbandits.strategies import (
-    POLICY_CONSTRAINED,
     POLICY_UNCONSTRAINED,
     POLICY_UNIFORM,
     TIE_LOWEST_INDEX,
@@ -268,34 +267,34 @@ def test_schedule_config_errors():
 def test_feasible_estimate_boundary_is_inclusive():
     state = played(2, (0, 0.5, 0.5), (1, 0.5, 0.5), (1, 0.5, 0.5))
     # Mean cost exactly at the level counts as feasible.
-    assert greedy_ties(*state, 0.5, POLICY_CONSTRAINED, TIE_UNIFORM) == [0, 1]
-    assert greedy_ties(*state, 0.4999, POLICY_CONSTRAINED, TIE_UNIFORM) == []
+    assert greedy_ties(*state, 0.5, TIE_UNIFORM) == [0, 1]
+    assert greedy_ties(*state, 0.4999, TIE_UNIFORM) == []
 
 
 def test_feasible_estimate_requires_a_play():
     state = played(3, (2, 0.9, 0.0))
-    assert greedy_ties(*state, 0.5, POLICY_CONSTRAINED, TIE_UNIFORM) == [2]
+    assert greedy_ties(*state, 0.5, TIE_UNIFORM) == [2]
 
 
 def test_greedy_ties_in_exact_arithmetic():
     # Two plays each: 0.1 + 0.2 against 0.3 + 0.0.  In rationals the means
     # tie; the float sum 0.1 + 0.2 rounds up, so floats put arm 0 ahead.
     plays = ((0, 0.1, 0.0), (0, 0.2, 0.0), (1, 0.3, 0.0), (1, 0.0, 0.0))
-    assert greedy_ties(*played(2, *plays), 0.5, POLICY_CONSTRAINED, TIE_UNIFORM) == [0]
+    assert greedy_ties(*played(2, *plays), 0.5, TIE_UNIFORM) == [0]
     exact = [Fraction(1, 10) + Fraction(1, 5), Fraction(3, 10)]
     zero = [Fraction(0)] * 2
     half = Fraction(1, 2)
-    assert greedy_ties([2, 2], exact, zero, half, POLICY_CONSTRAINED, TIE_UNIFORM) == [0, 1]
-    assert greedy_ties([2, 2], exact, zero, half, POLICY_CONSTRAINED, TIE_LOWEST_INDEX) == [0]
+    assert greedy_ties([2, 2], exact, zero, half, TIE_UNIFORM) == [0, 1]
+    assert greedy_ties([2, 2], exact, zero, half, TIE_LOWEST_INDEX) == [0]
 
 
 def test_greedy_ties_on_integer_keys():
     # Means 3/2 and 4/3: floor division would tie them; the exact keys
     # 3 * (6 // 2) = 9 and 4 * (6 // 3) = 8 do not.
-    assert greedy_ties([2, 3], [3, 4], [0, 0], 1, POLICY_CONSTRAINED, TIE_UNIFORM, 6) == [0]
+    assert greedy_ties([2, 3], [3, 4], [0, 0], 1, TIE_UNIFORM, 6) == [0]
     # Equal means 1 and 1 tie; the level test is on the integers too.
-    assert greedy_ties([2, 3], [2, 3], [2, 3], 1, POLICY_CONSTRAINED, TIE_UNIFORM, 6) == [0, 1]
-    assert greedy_ties([2, 3], [2, 3], [2, 4], 1, POLICY_CONSTRAINED, TIE_UNIFORM, 6) == [0]
+    assert greedy_ties([2, 3], [2, 3], [2, 3], 1, TIE_UNIFORM, 6) == [0, 1]
+    assert greedy_ties([2, 3], [2, 3], [2, 4], 1, TIE_UNIFORM, 6) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +368,7 @@ def test_greedy_stays_inside_feasible_estimate():
         feasible = [
             a for a in range(n) if counts[a] > 0 and cost_sums[a] <= 0.5 * counts[a]
         ]
-        ties = greedy_ties(*state, 0.5, POLICY_CONSTRAINED, TIE_UNIFORM)
+        ties = greedy_ties(*state, 0.5, TIE_UNIFORM)
         assert set(ties) <= set(feasible)
         assert bool(ties) == bool(feasible)
 
@@ -398,8 +397,8 @@ def test_selection_is_scale_invariant():
                 r, c = float(rng.random()), float(rng.random())
                 plays.append((a, r, c))
                 scaled.append((a, 0.25 * r, c))
-        ties = greedy_ties(*played(3, *plays), 0.5, POLICY_CONSTRAINED, TIE_UNIFORM)
-        assert ties == greedy_ties(*played(3, *scaled), 0.5, POLICY_CONSTRAINED, TIE_UNIFORM)
+        ties = greedy_ties(*played(3, *plays), 0.5, TIE_UNIFORM)
+        assert ties == greedy_ties(*played(3, *scaled), 0.5, TIE_UNIFORM)
 
 
 def test_select_arm_rejects_bad_tie_rule():
