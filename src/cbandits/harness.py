@@ -14,7 +14,10 @@ over the replications that pulled a beta arm.  The draws of step t in
 replication r depend only on (master_seed, t, r), read from
 :func:`~cbandits.core.step_uniforms`, which makes results independent of
 scheduling, worker count and chunk layout, and leaves the estimate at a
-checkpoint unchanged when a later one is added.  numpy is imported only
+checkpoint unchanged when a later one is added.  For large chunks the
+stream draws the next steps on a helper thread while the kernel works
+(same bits, a few blocks of memory more); :func:`run_chunk` closes it, so
+no thread outlives the chunk.  numpy is imported only
 where arrays are made, so an :class:`ExperimentConfig` is built and
 checked without it.
 """
@@ -44,6 +47,7 @@ from cbandits.core import (
     _betaincinv,
     _format_csv_value,
     _increasing_steps,
+    _share_cpus,
     step_uniforms,
 )
 from cbandits.strategies import (
@@ -111,8 +115,11 @@ class ExperimentConfig:
         if not isinstance(self.schedule, EpsilonSchedule):
             raise ValidationError("bad_config", "schedule must be an EpsilonSchedule")
         checkpoints = _increasing_steps(self.checkpoints, "checkpoints")
-        # The schedule must cover every step, or a run fails midway.
-        self.schedule.epsilon(checkpoints[-1])
+        _check_strategy(self.policy, self.tie_rule)
+        # The epsilon the kernel reads must cover every step, or a run
+        # fails midway; under ``uniform`` it is 1 and reads no schedule.
+        epsilon, _ = _selection_inputs(self.policy, self.schedule, self.instance.constraint_level)
+        epsilon(checkpoints[-1])
         deltas = tuple(
             _as_float(d, "bad_config", "deltas", 0.0)
             for d in _as_tuple(self.deltas, "bad_config", "deltas")
@@ -121,7 +128,6 @@ class ExperimentConfig:
             raise ValidationError("bad_config", "deltas must be non-empty")
         replications = _as_int(self.replications, "bad_config", "replications", 1)
         master_seed = _as_int(self.master_seed, "bad_parameter", "master_seed", 0, 2**64 - 1)
-        _check_strategy(self.policy, self.tie_rule)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "replications", replications)
@@ -334,32 +340,38 @@ def run_chunk(config: ExperimentConfig, rep_lo: int, rep_hi: int) -> ChunkResult
     sample_reward = _sampler([arm.reward for arm in instance.arms])
     sample_cost = _sampler([arm.cost for arm in instance.arms])
 
-    for t in range(1, config.horizon + 1):
-        u_branch, u_arm, u_reward, u_cost = next(stream).T
+    try:
+        for t in range(1, config.horizon + 1):
+            u_branch, u_arm, u_reward, u_cost = next(stream).T
 
-        arm = np.minimum((u_arm * n_arms).astype(np.int64), n_arms - 1)
-        eps_t = epsilon(t)
-        if eps_t < 1.0:
-            greedy, best = _greedy_arm(counts, reward_sums, cost_sums, level, uniform_ties, u_arm)
-            take_random = (u_branch < eps_t) | (best == -np.inf)
-            arm = np.where(take_random, arm, greedy)
+            arm = np.minimum((u_arm * n_arms).astype(np.int64), n_arms - 1)
+            eps_t = epsilon(t)
+            if eps_t < 1.0:
+                greedy, best = _greedy_arm(
+                    counts, reward_sums, cost_sums, level, uniform_ties, u_arm
+                )
+                take_random = (u_branch < eps_t) | (best == -np.inf)
+                arm = np.where(take_random, arm, greedy)
 
-        hits = arm == arm_ids
-        rewards = sample_reward(arm, u_reward)
-        costs = sample_cost(arm, u_cost)
+            hits = arm == arm_ids
+            rewards = sample_reward(arm, u_reward)
+            costs = sample_cost(arm, u_cost)
 
-        counts += hits
-        reward_sums += hits * rewards
-        cost_sums += hits * costs
-        cum_reward += rewards
-        cum_cost += costs
+            counts += hits
+            reward_sums += hits * rewards
+            cost_sums += hits * costs
+            cum_reward += rewards
+            cum_cost += costs
 
-        cp = cp_index.get(t)
-        if cp is not None:
-            successes[cp] += membership[:, arm].sum(axis=1)
-            arm_hits[cp] += hits.sum(axis=1)
-            cum_rewards[cp] = cum_reward
-            cum_costs[cp] = cum_cost
+            cp = cp_index.get(t)
+            if cp is not None:
+                successes[cp] += membership[:, arm].sum(axis=1)
+                arm_hits[cp] += hits.sum(axis=1)
+                cum_rewards[cp] = cum_reward
+                cum_costs[cp] = cum_cost
+    finally:
+        # Stops the helper thread, if the stream draws ahead.
+        stream.close()
 
     return ChunkResult(
         rep_lo=rep_lo,
@@ -403,6 +415,20 @@ class ExperimentResult:
         return out
 
 
+def _bound_columns(schedule, t: int, num_arms: int, delta: float, rho: float) -> tuple:
+    """``(bound_raw, bound_clamped)`` at step ``t``.  A policy that reads no
+    schedule (``uniform``) may run past the end of an explicit one; the
+    schedule's bound is undefined there, and the columns hold the trivial
+    bound 0."""
+    try:
+        report = selection_lower_bound(schedule, t, num_arms, delta, rho)
+    except ValidationError as err:
+        if err.code != "bad_schedule":
+            raise
+        return 0.0, 0.0
+    return report.raw_product, report.clamped
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Estimate the delta-best selection probability at every checkpoint.
 
@@ -421,7 +447,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         from concurrent.futures import ProcessPoolExecutor
 
         tasks = [(config, lo, hi) for lo, hi in bounds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_share_cpus, initargs=(min(workers, len(tasks)),)
+        ) as pool:
             chunks = list(pool.map(_chunk_worker, tasks))
 
     successes = sum(chunk.successes for chunk in chunks)
@@ -435,11 +463,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     estimates = []
     for i, t in enumerate(config.checkpoints):
         for j, delta in enumerate(config.deltas):
-            report = selection_lower_bound(config.schedule, t, num_arms, delta, rho)
+            bound_raw, bound_clamped = _bound_columns(config.schedule, t, num_arms, delta, rho)
             s = int(successes[i, j])
             ci_low, ci_high = wilson_interval(s, replications, WILSON_Z)
             p_hat = s / replications
-            dominated = ci_low >= report.clamped or p_hat >= report.clamped
+            dominated = ci_low >= bound_clamped or p_hat >= bound_clamped
             estimates.append(
                 MonteCarloEstimate(
                     t=t,
@@ -449,8 +477,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
                     p_hat=p_hat,
                     ci_low=ci_low,
                     ci_high=ci_high,
-                    bound_raw=report.raw_product,
-                    bound_clamped=report.clamped,
+                    bound_raw=bound_raw,
+                    bound_clamped=bound_clamped,
                     dominated=dominated,
                 )
             )

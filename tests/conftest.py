@@ -8,6 +8,7 @@ capture disabled and therefore always reaches the console (and any tee).
 
 import pytest
 
+import cbandits.core as core
 import cbandits.harness as harness
 
 ACCEPTANCE_LINES: list[str] = []
@@ -25,6 +26,17 @@ def chunk_layouts(monkeypatch):
 
     monkeypatch.setattr(harness, "_chunk_bounds", recorded)
     return layouts
+
+
+@pytest.fixture(params=["inline", "ahead"])
+def draw_path(request, monkeypatch):
+    """Run the test once with ``step_uniforms`` drawing each block when it
+    is asked for, and once with a helper thread drawing ahead from one
+    replication up, whatever the CPU count."""
+    ahead = request.param == "ahead"
+    monkeypatch.setattr(core, "_DRAW_AHEAD_REPLICATIONS", 1)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2 if ahead else 1)
+    return request.param
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

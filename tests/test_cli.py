@@ -312,7 +312,7 @@ class TestGoldenRun:
     same bits on every machine."""
 
     @pytest.mark.parametrize(("policy", "tie_rule"), list(GOLDEN_DIGESTS))
-    def test_outputs_are_frozen(self, tmp_path, capsys, policy, tie_rule):
+    def test_outputs_are_frozen(self, tmp_path, capsys, policy, tie_rule, draw_path):
         assert golden_digests(tmp_path, policy, tie_rule) == GOLDEN_DIGESTS[policy, tie_rule]
 
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -412,7 +415,7 @@ def steps(stream, count):
     return [next(stream) for _ in range(count)]
 
 
-def test_trial_streams_row_is_independent_of_block():
+def test_trial_streams_row_is_independent_of_block(draw_path):
     # The scalar reference draws one replication, the kernel a block: a
     # replication's uniforms must not depend on which block it is in.
     block = steps(step_uniforms(11, 3, 10), 25)
@@ -423,7 +426,7 @@ def test_trial_streams_row_is_independent_of_block():
     assert all(b.shape == (7, DRAWS_PER_STEP) for b in block)
 
 
-def test_step_block_is_keyed_by_step_and_replication():
+def test_step_block_is_keyed_by_step_and_replication(draw_path):
     # Row r of step t is the first Philox block after counter (t << 64) + r,
     # built here without the stream's skip-ahead between steps.
     key = experiment_key(123)
@@ -471,7 +474,7 @@ def test_philox_reference_known_answer():
 
 
 @pytest.mark.parametrize("seed", [7, 2**64 - 1])
-def test_step_uniforms_match_pure_python_philox(seed):
+def test_step_uniforms_match_pure_python_philox(seed, draw_path):
     # Replications 0..8 at steps 1..5, drawn as one block and as three
     # blocks, two of them with rep_lo > 0.
     for layout in (((0, 9),), ((0, 2), (2, 6), (6, 9))):
@@ -480,7 +483,7 @@ def test_step_uniforms_match_pure_python_philox(seed):
                 assert block.tolist() == [reference_row(seed, t, r) for r in range(lo, hi)]
 
 
-def test_trial_stream_is_deterministic():
+def test_trial_stream_is_deterministic(draw_path):
     first = steps(step_uniforms(123, 4, 6), 50)
     assert np.array_equal(first, steps(step_uniforms(123, 4, 6), 50))
 
@@ -491,7 +494,7 @@ def test_trial_streams_differ_across_replications_and_seeds():
     assert not np.array_equal(base, np.concatenate(steps(step_uniforms(124, 0, 1), 50)))
 
 
-def test_trial_streams_are_disjoint_windows():
+def test_trial_streams_are_disjoint_windows(draw_path):
     # Every (step, replication) pair reads its own counter block.
     tiled = np.concatenate(steps(step_uniforms(9, 0, 5), 13)).ravel()
     assert tiled.size == 13 * 5 * DRAWS_PER_STEP
@@ -515,3 +518,134 @@ def test_trial_stream_validation():
         with pytest.raises(ValidationError):
             step_uniforms(seed, lo, hi)
     assert next(step_uniforms(1, 2**64 - 1, 2**64)).shape == (1, DRAWS_PER_STEP)
+
+
+# ---------------------------------------------------------------------------
+# drawing ahead on a helper thread
+# ---------------------------------------------------------------------------
+
+
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name == "cbandits.step_uniforms"]
+
+
+def test_draw_ahead_is_chosen_by_size_and_cpus(monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    small = step_uniforms(3, 0, core._DRAW_AHEAD_REPLICATIONS - 1)
+    next(small)
+    assert not helper_threads()
+    large = step_uniforms(3, 0, core._DRAW_AHEAD_REPLICATIONS)
+    next(large)
+    assert len(helper_threads()) == 1
+    large.close()
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    one_cpu = step_uniforms(3, 0, core._DRAW_AHEAD_REPLICATIONS)
+    next(one_cpu)
+    assert not helper_threads()
+    # A pool of two workers on two CPUs leaves no CPU for helpers; on
+    # three it does.
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_concurrent_kernels", 2)
+    pool_worker = step_uniforms(3, 0, core._DRAW_AHEAD_REPLICATIONS)
+    next(pool_worker)
+    assert not helper_threads()
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+    spare_cpu = step_uniforms(3, 0, core._DRAW_AHEAD_REPLICATIONS)
+    next(spare_cpu)
+    assert len(helper_threads()) == 1
+    spare_cpu.close()
+    assert core._usable_cpus() >= 1
+
+
+def test_blocks_held_are_not_overwritten(draw_path):
+    # The helper runs ahead of the consumer; no block it hands over is
+    # written again, whatever the consumer still holds.
+    stream = step_uniforms(17, 0, 6)
+    held = steps(stream, 3)
+    copies = [block.copy() for block in held]
+    later = steps(stream, 20)
+    assert all(np.array_equal(block, copy) for block, copy in zip(held, copies))
+    blocks = held + later
+    assert not any(
+        np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1:]
+    )
+    stream.close()
+
+
+def test_closing_or_dropping_a_stream_stops_its_helper(draw_path):
+    before = threading.enumerate()
+    stream = step_uniforms(5, 0, 8)
+    steps(stream, 4)
+    assert len(helper_threads()) == (draw_path == "ahead")
+    stream.close()
+    assert threading.enumerate() == before
+    dropped = step_uniforms(5, 0, 8)
+    steps(dropped, 4)
+    del dropped
+    assert threading.enumerate() == before
+    # A stream never advanced has started no helper.
+    step_uniforms(5, 0, 8).close()
+    assert threading.enumerate() == before
+
+
+class DrawFailed(Exception):
+    pass
+
+
+def test_helper_failure_reaches_the_consumer(monkeypatch, draw_path):
+    draw_block = core._draw_block
+    calls = []
+
+    def failing(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == 4:
+            raise DrawFailed("step 4")
+        return draw_block(*args)
+
+    monkeypatch.setattr(core, "_draw_block", failing)
+    before = threading.enumerate()
+    stream = step_uniforms(5, 0, 8)
+    outcome = []
+
+    def consume():
+        try:
+            steps(stream, 10)
+        except DrawFailed as exc:
+            outcome.append(exc)
+
+    consumer = threading.Thread(target=consume, daemon=True)
+    started = time.perf_counter()
+    consumer.start()
+    consumer.join(timeout=10.0)
+    assert not consumer.is_alive(), "the consumer hangs on a failed draw"
+    assert time.perf_counter() - started < 10.0
+    assert [str(exc) for exc in outcome] == ["step 4"]
+    assert (calls[0] is consumer) == (draw_path == "inline")
+    assert threading.enumerate() == before
+
+
+def test_streams_under_thread_switching_stress(monkeypatch):
+    # Six helpers on at most two CPUs, with the interpreter switching
+    # threads every microsecond and the streams closed at different
+    # steps: every block is still the inline one, and no helper is left.
+    monkeypatch.setattr(core, "_DRAW_AHEAD_REPLICATIONS", 1)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    before = threading.enumerate()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        streams = [step_uniforms(seed, 0, 16) for seed in range(6)]
+        drawn = [[] for _ in streams]
+        for t in range(40):
+            for seed, stream in enumerate(streams):
+                if t < 10 + 5 * seed:
+                    drawn[seed].append(next(stream))
+        for stream in streams:
+            stream.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == before
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    for seed, blocks in enumerate(drawn):
+        inline = steps(step_uniforms(seed, 0, 16), len(blocks))
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, inline))

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
+import cbandits.core as core
 from cbandits.core import (
     Arm,
     Bernoulli,
@@ -33,6 +35,7 @@ from cbandits.strategies import (
     TIE_LOWEST_INDEX,
     TIE_UNIFORM,
     ConstantSchedule,
+    ExplicitSchedule,
     InverseTimeSchedule,
     greedy_ties,
 )
@@ -179,7 +182,7 @@ class TestKernelBits:
             assert diagnostics["mean_cumulative_reward"][ci] == math.fsum(rewards) / 48
             assert diagnostics["mean_cumulative_cost"][ci] == math.fsum(costs) / 48
 
-    def test_chunk_split_invariance(self):
+    def test_chunk_split_invariance(self, draw_path):
         config = base_config(
             instance=mixed_instance(), replications=40, checkpoints=(1, 9, 60),
             tie_rule=TIE_UNIFORM,
@@ -196,6 +199,27 @@ class TestKernelBits:
             for field in ("cum_rewards", "cum_costs"):
                 joined = np.concatenate([getattr(p, field) for p in parts], axis=1)
                 assert np.array_equal(getattr(whole, field), joined), field
+
+
+    @pytest.mark.parametrize("tie_rule", [TIE_LOWEST_INDEX, TIE_UNIFORM])
+    @pytest.mark.parametrize(
+        "make_instance",
+        [separated_instance, mixed_instance, tied_point_mass_instance, six_arm_instance],
+    )
+    def test_draw_paths_give_the_same_bits(self, monkeypatch, make_instance, tie_rule):
+        config = base_config(
+            instance=make_instance(), replications=40, checkpoints=(1, 9, 60),
+            tie_rule=tie_rule,
+        )
+        monkeypatch.setattr(core, "_DRAW_AHEAD_REPLICATIONS", 1)
+
+        def chunk_bits(cpus):
+            monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+            chunk = run_chunk(config, 0, config.replications)
+            return [getattr(chunk, f).tobytes()
+                    for f in ("successes", "arm_hits", "cum_rewards", "cum_costs")]
+
+        assert chunk_bits(1) == chunk_bits(2)
 
 
 def sampler_uniforms(dists, rng):
@@ -615,6 +639,34 @@ class TestStepKeyedStreams:
         assert abs(long - short) < 64 * 1024, (short, long)
 
 
+    def test_run_chunk_leaves_no_thread_behind(self, monkeypatch, draw_path):
+        before = threading.enumerate()
+        config = base_config(replications=16)
+        run_chunk(config, 0, 16)
+        assert threading.enumerate() == before
+
+        sampler = harness._sampler
+
+        def failing_at_step_3(dists):
+            sample = sampler(dists)
+            calls = []
+
+            def failing(arm, u):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError("sampler failed at step 3")
+                return sample(arm, u)
+
+            return failing
+
+        monkeypatch.setattr(harness, "_sampler", failing_at_step_3)
+        with pytest.raises(RuntimeError, match="step 3") as failure:
+            run_chunk(config, 0, 16)
+        # The held traceback keeps run_chunk's frame, and its stream, alive.
+        assert failure.tb is not None
+        assert threading.enumerate() == before
+
+
 class TestOutputs:
     def test_results_csv_golden_bytes(self, tmp_path):
         estimates = [
@@ -729,6 +781,27 @@ class TestConfigValidation:
             **{**good, "checkpoints": np.array([1, 2]), "replications": np.int64(4)}
         )
         assert config.checkpoints == (1, 2) and type(config.replications) is int
+
+    def test_short_explicit_schedule_runs_under_uniform_only(self):
+        # Under ``uniform`` the kernel reads epsilon = 1 and no schedule, as
+        # the oracle does; the bound columns past the schedule's end hold
+        # the trivial bound 0.
+        short = dict(
+            instance=separated_instance(),
+            schedule=ExplicitSchedule((0.5,)),
+            checkpoints=(3,),
+            deltas=(0.0,),
+            replications=20,
+            master_seed=4,
+        )
+        result = run_experiment(ExperimentConfig(**short, policy=POLICY_UNIFORM))
+        (estimate,) = result.estimates
+        assert (estimate.bound_raw, estimate.bound_clamped) == (0.0, 0.0)
+        assert estimate.dominated
+        assert sum(result.diagnostics["arm_selections"][0]) == 20
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(**short, policy=POLICY_CONSTRAINED)
+        assert err.value.code == "bad_schedule"
 
     def test_numpy_master_seed_is_stored_as_int(self):
         config = base_config(master_seed=np.uint64(7))

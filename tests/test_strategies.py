@@ -73,7 +73,7 @@ def scripted_chunk(monkeypatch, instance, blocks, **strategy):
     reported at every step, where replication r draws ``blocks[t - 1][r]``
     at step t."""
     blocks = np.array(blocks, dtype=float)
-    monkeypatch.setattr(harness, "step_uniforms", lambda seed, lo, hi: iter(blocks))
+    monkeypatch.setattr(harness, "step_uniforms", lambda seed, lo, hi: (b for b in blocks))
     config = ExperimentConfig(
         instance=instance,
         schedule=ConstantSchedule(0.5),
