@@ -578,14 +578,14 @@ def test_closing_or_dropping_a_stream_stops_its_helper(draw_path):
     steps(stream, 4)
     assert len(helper_threads()) == (draw_path == "ahead")
     stream.close()
-    assert threading.enumerate() == before
+    assert set(threading.enumerate()) <= set(before)
     dropped = step_uniforms(5, 0, 8)
     steps(dropped, 4)
     del dropped
-    assert threading.enumerate() == before
+    assert set(threading.enumerate()) <= set(before)
     # A stream never advanced has started no helper.
     step_uniforms(5, 0, 8).close()
-    assert threading.enumerate() == before
+    assert set(threading.enumerate()) <= set(before)
 
 
 class DrawFailed(Exception):
@@ -621,7 +621,7 @@ def test_helper_failure_reaches_the_consumer(monkeypatch, draw_path):
     assert time.perf_counter() - started < 10.0
     assert [str(exc) for exc in outcome] == ["step 4"]
     assert (calls[0] is consumer) == (draw_path == "inline")
-    assert threading.enumerate() == before
+    assert set(threading.enumerate()) <= set(before)
 
 
 def test_streams_under_thread_switching_stress(monkeypatch):
@@ -644,7 +644,7 @@ def test_streams_under_thread_switching_stress(monkeypatch):
             stream.close()
     finally:
         sys.setswitchinterval(interval)
-    assert threading.enumerate() == before
+    assert set(threading.enumerate()) <= set(before)
     monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
     for seed, blocks in enumerate(drawn):
         inline = steps(step_uniforms(seed, 0, 16), len(blocks))

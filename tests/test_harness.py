@@ -643,7 +643,7 @@ class TestStepKeyedStreams:
         before = threading.enumerate()
         config = base_config(replications=16)
         run_chunk(config, 0, 16)
-        assert threading.enumerate() == before
+        assert set(threading.enumerate()) <= set(before)
 
         sampler = harness._sampler
 
@@ -664,7 +664,7 @@ class TestStepKeyedStreams:
             run_chunk(config, 0, 16)
         # The held traceback keeps run_chunk's frame, and its stream, alive.
         assert failure.tb is not None
-        assert threading.enumerate() == before
+        assert set(threading.enumerate()) <= set(before)
 
 
 class TestOutputs:
