@@ -65,9 +65,10 @@ __all__ = [
 _DRAW_AHEAD_REPLICATIONS = 3000
 # Blocks the helper may have drawn and the consumer not yet taken.
 _DRAW_AHEAD_BLOCKS = 2
-# Kernels running at once on the process's CPUs: 1, unless the process is
-# one of a pool's workers (_share_cpus).
-_concurrent_kernels = 1
+# True in a pool's worker process (_mark_pool_worker), whose streams draw
+# inline: a pool that fills every CPU ran slower with helpers, and one
+# with CPUs to spare has not been measured.
+_pool_worker = False
 
 # Tolerance for "probabilities sum to one" style checks.
 PROBABILITY_TOL = 1e-12
@@ -583,11 +584,11 @@ def step_uniforms(master_seed: int, rep_lo: int, rep_hi: int) -> Generator[np.nd
     run is.  One generator serves every step; between steps it skips the
     other replications' counters.
 
-    With at least ``_DRAW_AHEAD_REPLICATIONS`` replications and a usable
-    CPU more than the kernels running at once (one, or a pool's size, see
-    :func:`_share_cpus`), one helper thread draws the next steps' blocks
-    while the caller works on the current one (numpy releases the GIL
-    while it fills a block); otherwise each block is drawn when it is
+    With at least ``_DRAW_AHEAD_REPLICATIONS`` replications, outside a
+    pool's workers (:func:`_mark_pool_worker`) and on a process that may
+    run on more than one CPU, one helper thread draws the next steps'
+    blocks while the caller works on the current one (numpy releases the
+    GIL while it fills a block); otherwise each block is drawn when it is
     asked for.  Both paths call the one draw function in the same order,
     so they yield the same bits.  The helper starts at the first ``next`` and
     keeps at most ``_DRAW_AHEAD_BLOCKS`` blocks waiting, plus the one it
@@ -606,7 +607,7 @@ def step_uniforms(master_seed: int, rep_lo: int, rep_hi: int) -> Generator[np.nd
         _draw_block, np.random.Generator(bit_generator), n_reps, bit_generator.advance,
         2**64 - n_reps,
     )
-    if n_reps >= _DRAW_AHEAD_REPLICATIONS and _usable_cpus() > _concurrent_kernels:
+    if n_reps >= _DRAW_AHEAD_REPLICATIONS and not _pool_worker and _usable_cpus() > 1:
         return _drawn_ahead(draw)
     return _drawn_inline(draw)
 
@@ -626,26 +627,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share_cpus(kernels: int) -> None:
-    """Record that this process is one of ``kernels`` pool workers that run
-    a kernel at once, so that its stream draws ahead only if a CPU is left
-    over for the helper threads."""
-    global _concurrent_kernels
-    _concurrent_kernels = kernels
-
-
-def _bind_to_spare_cpus() -> None:
-    """Bind the calling helper thread to the last ``_concurrent_kernels``
-    CPUs it may run on, which the helpers of the running kernels share.
-    Left free, a helper and the thread it feeds wake each other a few times
-    a step, and the scheduler often kept both on one CPU, where nothing
-    overlaps.  The binding only steers placement: where it is refused, the
-    helper runs unbound."""
-    try:
-        cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, cpus[-_concurrent_kernels:])
-    except (AttributeError, OSError):
-        pass
+def _mark_pool_worker() -> None:
+    """Make this pool worker's streams draw inline."""
+    global _pool_worker
+    _pool_worker = True
 
 
 def _drawn_inline(draw) -> Generator[np.ndarray, None, None]:
@@ -658,16 +643,20 @@ def _drawn_ahead(draw) -> Generator[np.ndarray, None, None]:
     ahead of the consumer.  On exit the helper is told to stop, and the
     queue is drained so that a helper blocked on a full queue wakes up:
     after the drain it can put at most one block before it sees the stop,
-    so it never blocks again and the join returns without a timeout."""
+    so it never blocks again and the join returns without a timeout.
+    While the interpreter shuts down, the daemon helper is left alone: it
+    may already be stopped without being marked as done, and the modules
+    that the stop, drain and join read may already be cleared."""
     import queue
     import threading
+
+    is_finalizing = sys.is_finalizing  # module globals may be gone by then
 
     blocks = queue.Queue(maxsize=_DRAW_AHEAD_BLOCKS)
     stop = threading.Event()
 
     def produce():
         try:
-            _bind_to_spare_cpus()
             while not stop.is_set():
                 blocks.put(draw())
         except BaseException as exc:  # handed to the consumer, never lost
@@ -682,10 +671,11 @@ def _drawn_ahead(draw) -> Generator[np.ndarray, None, None]:
                 raise block
             yield block
     finally:
-        stop.set()
-        try:
-            while True:
-                blocks.get_nowait()
-        except queue.Empty:
-            pass
-        helper.join()
+        if not is_finalizing():
+            stop.set()
+            try:
+                while True:
+                    blocks.get_nowait()
+            except queue.Empty:
+                pass
+            helper.join()

@@ -14,10 +14,11 @@ over the replications that pulled a beta arm.  The draws of step t in
 replication r depend only on (master_seed, t, r), read from
 :func:`~cbandits.core.step_uniforms`, which makes results independent of
 scheduling, worker count and chunk layout, and leaves the estimate at a
-checkpoint unchanged when a later one is added.  For large chunks the
-stream draws the next steps on a helper thread while the kernel works
-(same bits, a few blocks of memory more); :func:`run_chunk` closes it, so
-no thread outlives the chunk.  numpy is imported only
+checkpoint unchanged when a later one is added.  For large chunks outside
+a pool's workers, on more than one CPU, the stream draws the next steps
+on a helper thread while the kernel works (same bits, at most three
+blocks of memory more); :func:`run_chunk` closes it, so no thread
+outlives the chunk.  numpy is imported only
 where arrays are made, so an :class:`ExperimentConfig` is built and
 checked without it.
 """
@@ -47,7 +48,7 @@ from cbandits.core import (
     _betaincinv,
     _format_csv_value,
     _increasing_steps,
-    _share_cpus,
+    _mark_pool_worker,
     step_uniforms,
 )
 from cbandits.strategies import (
@@ -447,9 +448,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         from concurrent.futures import ProcessPoolExecutor
 
         tasks = [(config, lo, hi) for lo, hi in bounds]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_share_cpus, initargs=(min(workers, len(tasks)),)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_mark_pool_worker) as pool:
             chunks = list(pool.map(_chunk_worker, tasks))
 
     successes = sum(chunk.successes for chunk in chunks)

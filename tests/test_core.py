@@ -542,18 +542,13 @@ def test_draw_ahead_is_chosen_by_size_and_cpus(monkeypatch):
     one_cpu = step_uniforms(3, 0, core._DRAW_AHEAD_REPLICATIONS)
     next(one_cpu)
     assert not helper_threads()
-    # A pool of two workers on two CPUs leaves no CPU for helpers; on
-    # three it does.
-    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(core, "_concurrent_kernels", 2)
+    # A pool's workers draw inline, whatever CPUs are left over.
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(core, "_pool_worker", True)
     pool_worker = step_uniforms(3, 0, core._DRAW_AHEAD_REPLICATIONS)
     next(pool_worker)
     assert not helper_threads()
-    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
-    spare_cpu = step_uniforms(3, 0, core._DRAW_AHEAD_REPLICATIONS)
-    next(spare_cpu)
-    assert len(helper_threads()) == 1
-    spare_cpu.close()
+    monkeypatch.undo()
     assert core._usable_cpus() >= 1
 
 

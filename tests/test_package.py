@@ -1,7 +1,8 @@
 """Every public name the package declares resolves to an object, and
 each subcommand imports only the libraries it uses: numpy for Monte
 Carlo runs, PyYAML for config files, scipy for beta arms and the process
-pool for more than one worker."""
+pool for more than one worker; and an interpreter that exits with a
+stream drawing ahead neither hangs nor reports an error."""
 
 from __future__ import annotations
 
@@ -73,14 +74,15 @@ for argv in json.loads(sys.argv[1]):
 PROBED = ("numpy", "yaml", "scipy", "concurrent.futures.process")
 
 
-def run_fresh(tmp_path, code, *args):
-    """Lines printed by ``code`` run with ``args`` in a fresh interpreter."""
+def run_fresh(tmp_path, code, *args, timeout=None):
+    """Lines printed by ``code`` run with ``args`` in a fresh interpreter,
+    which must exit with status 0, within ``timeout`` seconds if given."""
     env = dict(os.environ)
     src = str(Path(cbandits.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True,
-        cwd=tmp_path, env=env,
+        cwd=tmp_path, env=env, timeout=timeout,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -144,3 +146,27 @@ print("numpy" in sys.modules)
         "[0.3, 0.3, 0.3, 0.3, 1.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0]",
         "False",
     ]
+
+
+# Leaves two drawing-ahead streams open at exit, one in a module global
+# and one in a reference cycle, each helper blocked on a full queue.  An
+# error raised while they close at exit is printed to stdout.
+_OPEN_STREAMS_AT_EXIT = """\
+import sys, threading, time
+sys.stderr = sys.stdout
+import cbandits.core as core
+core._DRAW_AHEAD_REPLICATIONS = 1
+core._usable_cpus = lambda: 2
+stream = core.step_uniforms(1, 0, 8)
+class Holder:
+    pass
+cycle = Holder()
+cycle.stream, cycle.self = core.step_uniforms(2, 0, 8), cycle
+next(stream), next(cycle.stream)
+time.sleep(0.2)
+print(sum(t.name == "cbandits.step_uniforms" for t in threading.enumerate()))
+"""
+
+
+def test_streams_left_open_at_exit_do_not_hang(tmp_path):
+    assert run_fresh(tmp_path, _OPEN_STREAMS_AT_EXIT, timeout=60) == ["2"]
