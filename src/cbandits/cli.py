@@ -25,6 +25,7 @@ from cbandits.analysis import exact_selection_probability, feasibility_profile
 from cbandits.bounds import (
     VARIANT_RHO_LINEAR,
     VARIANT_RHO_SQUARED,
+    _MAX_T,
     _check_parameters,
     _closed_form_terms,
     _selection_terms,
@@ -248,6 +249,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_bound(args: argparse.Namespace) -> int:
     schedule = _bound_schedule(args)
     grid = _increasing_steps(args.t_grid, "--t-grid")
+    _as_int(grid[-1], "bad_parameter", "--t-grid value", 1, _MAX_T)
     num_arms, delta, rho = _check_parameters(args.num_arms, args.delta, args.rho)
 
     variants = {

@@ -118,7 +118,10 @@ def _as_float(
     elif isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(code, f"{what} must be a real number, got {value!r}")
     else:
-        out = float(value)
+        try:
+            out = float(value)
+        except OverflowError:  # an int past the largest double
+            out = math.inf if value > 0 else -math.inf
     if not math.isfinite(out) or out < minimum or (strict and out == minimum) or out > maximum:
         if maximum < math.inf:
             bound = f" lie in {'(' if strict else '['}{minimum:g}, {maximum:g}]"

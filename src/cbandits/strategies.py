@@ -85,7 +85,7 @@ class EpsilonSchedule:
 # Harmonic numbers in fixed point: an int X stands for X / 2**_FIXED_BITS,
 # and one unit is 2**-_FIXED_BITS.  Every floor division below is off by
 # less than one unit.
-_FIXED_BITS = 200
+_FIXED_BITS = 128
 _FIXED_ONE = 1 << _FIXED_BITS
 
 
@@ -98,8 +98,10 @@ def _atanh2(a: int, b: int) -> int:
     and it is below it by less than 4N + 5 units for N terms: each power
     term stays within 2 units of z^(2i+1), so each summand loses less than
     2 units, and the omitted tail (power term under 2 units, ratio
-    z^2 <= 1/9) is under 2.25 units; the sum is then doubled.  N <= 64 for
-    z <= 1/3 and N <= 15 for z < 1/129.
+    z^2 <= 1/9) is under 2.25 units; the sum is then doubled.  A power
+    term is at most z^(2i+1) units and so vanishes once 1/z^(2i+1) exceeds
+    2**128: from 2i+1 = 81 for z <= 1/3 (3**81 > 2**128.3), so N <= 40,
+    and from 2i+1 = 19 for z < 1/129 (129**19 > 2**133), so N <= 9.
     """
     term = (a << _FIXED_BITS) // b
     square = ((a * a) << _FIXED_BITS) // (b * b)
@@ -111,9 +113,9 @@ def _atanh2(a: int, b: int) -> int:
     return 2 * total
 
 
-# ln 2 (below by < 261 units) and ln j for j in [64, 128), chained as
+# ln 2 (below by < 165 units) and ln j for j in [64, 128), chained as
 # ln(j + 1) = ln j + 2 atanh(1 / (2j + 1)) from ln 64 = 6 ln 2 (below by
-# < 6 * 261 + 63 * 65 = 5661 units).
+# < 6 * 165 + 63 * 41 = 3573 units).
 _LN2 = _atanh2(1, 3)
 _LN_J = tuple(
     itertools.accumulate((_atanh2(1, 2 * j + 1) for j in range(64, 127)), initial=6 * _LN2)
@@ -122,11 +124,11 @@ _LN_J = tuple(
 
 def _ln(n: int) -> int:
     """ln n in fixed point for n >= 64, below the true value by less than
-    261 e + 5726 units, where e = n.bit_length() - 7.
+    165 e + 3614 units, where e = n.bit_length() - 7.
 
     n = c (1 + x) with c = j 2^e, j in [64, 128) the leading seven bits of
     n, so 0 <= x < 1/64, and ln n = e ln 2 + ln j + ln(1 + x).  The terms
-    are below by less than e * 261, 5661 and 65 units: ln(1 + x) is
+    are below by less than e * 165, 3573 and 41 units: ln(1 + x) is
     2 atanh((n - c) / (n + c)), whose argument is below 1/129.
     """
     e = n.bit_length() - 7
@@ -136,15 +138,20 @@ def _ln(n: int) -> int:
 
 
 # Euler's constant from its 72 significant digits, which are within
-# 1e-72 of it; one unit is about 6.2e-61, so this is off by < 2 units.
+# 1e-72 of it; one unit is about 2.9e-39, so this is off by < 2 units.
 _EULER_GAMMA = (
     int("577215664901532860606512090082402431042159335939923598805767234884867727")
     << _FIXED_BITS
 ) // 10**72
-# Euler-Maclaurin coefficients B_2j / (2j), j = 1..10, of the harmonic numbers.
-_HARMONIC_SERIES = (
-    (1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132),
-    (-691, 32760), (1, 12), (-3617, 8160), (43867, 14364), (-174611, 6600),
+# Euler-Maclaurin coefficients |B_2j| / (2j), j = 1..10, of the harmonic
+# numbers, in units, in pairs: the terms they scale alternate in sign,
+# from minus.
+_HARMONIC_SERIES = tuple(
+    ((minus << _FIXED_BITS) // minus_den, (plus << _FIXED_BITS) // plus_den)
+    for (minus, minus_den), (plus, plus_den) in (
+        ((1, 12), (1, 120)), ((1, 252), (1, 240)), ((1, 132), (691, 32760)),
+        ((1, 12), (3617, 8160)), ((43867, 14364), (174611, 6600)),
+    )
 )
 _HARMONIC_DIRECT_BELOW = 100
 # H_n for n < 100 as the sum of 2**_FIXED_BITS // i (below by < n units).
@@ -158,26 +165,41 @@ _HARMONIC_DIRECT = tuple(
 def _harmonic(n: int) -> int:
     """H_n = sum of 1/i for i in 1..n in fixed point, for n >= 0.
 
-    It is within 2**63 + 2**9 * n.bit_length() units (about 2**-137) of
-    H_n.  Below 100 the terms are added directly.  From 100 on, the
-    Euler-Maclaurin expansion
+    It is within 2**12 + 2**8 * n.bit_length() units of H_n, which is
+    below 2**-114 up to n = 10**8.  Below 100 the terms are added
+    directly.  From 100 on, the Euler-Maclaurin expansion
 
-        H_n = ln n + gamma + 1/(2n) - sum_{j=1}^{10} B_2j / (2j n^2j)
+        H_n = ln n + gamma + 1/(2n) - sum_{j>=1} B_2j / (2j n^2j)
 
-    is used.  Its remainder lies between 0 and the first omitted term,
-    -B_22 / (22 n^22), of magnitude below 282 / n^22 < 3e-42 < 2**62.1
-    units for n >= 100.  The other errors are ln n, below by less than
-    261 e + 5726 units (see :func:`_ln`), gamma < 2 units, and eleven
-    floor divisions < 1 unit each: less than 261 e + 5739 units in all.
+    is used.  Cut after any number of terms, its remainder lies between 0
+    and the first omitted term.  The loop adds the terms' magnitudes, each
+    floored to units (a floor of the table's floor is one floor), with
+    their signs, and stops at the first one that floors to 0, that is,
+    the first below one unit, or after the ten in the table, where the
+    next, -B_22 / (22 n^22), is below 282 / n^22 < 2**-137 for n >= 100.
+    Either way the remainder is below one unit.  At n = 100 the tenth
+    term floors to 0; above about 2**62.2 the first does, and no term is
+    added.  The other errors are ln n, below by less than 165 e + 3614
+    units (see :func:`_ln`), gamma < 2 units, and at most eleven floor
+    divisions < 1 unit each: less than 165 e + 3628 units in all, with
+    e = n.bit_length() - 7.
     """
     if n < _HARMONIC_DIRECT_BELOW:
         return _HARMONIC_DIRECT[n]
     total = _ln(n) + _EULER_GAMMA + _FIXED_ONE // (2 * n)
     square = n * n
-    power = 1
-    for num, den in _HARMONIC_SERIES:
+    power = square
+    for minus, plus in _HARMONIC_SERIES:
+        term = minus // power
+        if not term:
+            break
+        total -= term
         power *= square
-        total -= (num << _FIXED_BITS) // (den * power)
+        term = plus // power
+        if not term:
+            break
+        total += term
+        power *= square
     return total
 
 
@@ -199,8 +221,14 @@ class ConstantSchedule(EpsilonSchedule):
         return self.value
 
     def cumulative(self, t: int) -> float:
-        _as_int(t, "bad_parameter", "step index", 1)
-        return self.value * t
+        t = _as_int(t, "bad_parameter", "step index", 1)
+        # value * t would round t to a double first; int true division
+        # rounds the exact product once.
+        m, d = self.value.as_integer_ratio()
+        try:
+            return m * t / d
+        except OverflowError:  # past the largest double, the sum rounds to inf
+            return math.inf
 
     def to_config(self) -> dict:
         return {"kind": "constant", "epsilon": self.value}
@@ -216,25 +244,33 @@ class InverseTimeSchedule(EpsilonSchedule):
     ``cumulative(t)`` is the double nearest the real number
     floor(k) + k * (H_t - H_floor(k)), with k = m/d taken exactly as the
     stored double and H_n the n-th harmonic number.  It is evaluated in
-    O(1) in integer fixed point with 200 fractional bits (see
+    O(1) in integer fixed point with 128 fractional bits (see
     :func:`_harmonic`): harmonic numbers below 100 by direct summation,
     the rest by the Euler-Maclaurin expansion.  H_t and H_floor(k) are
-    each within 2**63 + 2**9 * t.bit_length() units (one unit is 2**-200),
+    each within 2**12 + 2**8 * t.bit_length() units (one unit is 2**-128),
     so the fixed-point sum ``total`` is within
-    k * (2**64 + 2**10 * t.bit_length()) + 1 units, the last for the floor
-    division by d, and the integer ``slack`` is above that.  Python's int
-    true division rounds correctly, so if (total - slack) / 2**200 and
-    (total + slack) / 2**200 are the same double, so is the sum.
+    k * (2**13 + 2**9 * t.bit_length()) + 1 units, the last for the floor
+    division by d, and the integer ``slack`` is above that, as
+    floor(k) + 1 > k.  Python's int
+    true division rounds correctly, so if (total - slack) / 2**128 and
+    (total + slack) / 2**128 are the same double, so is the sum.
     Otherwise that interval holds a rounding midpoint and exact rational
-    arithmetic over steps floor(k)+1..t decides.  In practice that is an
-    exact tie such as k = 3.7, t = 4, which needs a short sum.  No float
+    arithmetic over steps floor(k)+1..t decides.  The sum exceeds
+    floor(k) >= (floor(k) + 1) / 2, so the slack is below (2**14 + 2**10 *
+    t.bit_length() + 2) / 2**128 of it: under 2**-112 up to t = 10**8 and
+    under 2**-100 for every t below 2**65536.  Midpoints lie at least
+    2**-53 of the sum apart, so a sum that is not itself a midpoint falls
+    back with odds below 2**-58 up to t = 10**8, and only exact ties such
+    as k = 3.7, t = 4 do in practice; those need a short sum.  No float
     reduction is involved, so the result does not depend on numpy, the
     CPU or the summation order.
     """
 
     k: float
     kind = "inverse_time"
-    # H_floor(k), the harmonic number every cumulative(t) with t > k needs.
+    # k = m/d as (m, d), and H_floor(k): every cumulative(t) with t > k
+    # needs both.
+    _ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
     _harmonic_flat: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -245,6 +281,7 @@ class InverseTimeSchedule(EpsilonSchedule):
                 f"inverse_time schedule requires k > 1, got {k}",
             )
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_ratio", k.as_integer_ratio())
         object.__setattr__(self, "_harmonic_flat", _harmonic(math.floor(k)))
 
     def epsilon(self, t: int) -> float:
@@ -256,9 +293,9 @@ class InverseTimeSchedule(EpsilonSchedule):
         flat = math.floor(self.k)
         if t <= flat:
             return float(t)
-        m, d = self.k.as_integer_ratio()
+        m, d = self._ratio
         total = (flat << _FIXED_BITS) + m * (_harmonic(t) - self._harmonic_flat) // d
-        slack = m * ((1 << 64) + (t.bit_length() << 10)) // d + 2
+        slack = (flat + 1) * ((1 << 13) + (t.bit_length() << 9)) + 2
         try:
             lo, hi = (total - slack) / _FIXED_ONE, (total + slack) / _FIXED_ONE
         except OverflowError:  # past the largest double, the sum rounds to inf

@@ -19,6 +19,7 @@ import yaml
 
 import cbandits.cli as cli
 import cbandits.core as core
+from cbandits.core import ValidationError
 from cbandits.bounds import closed_form_lower_bound, selection_lower_bound
 from cbandits.cli import (
     BOUNDS_CSV_COLUMNS,
@@ -921,6 +922,24 @@ class TestRobustnessSweep:
                 digest.update(f"{i} {code}\n{out}".encode())
         assert codes[0] > 200 and codes[2] > 50
         assert digest.hexdigest() == self.BOUND_DIGEST
+
+    @pytest.mark.parametrize("schedule", [["--k", "2"], ["--epsilon", "1.0"]])
+    def test_t_past_the_largest_double(self, schedule, capsys):
+        # Every formula reads t as a double: the largest integer a double
+        # holds gives a finite row, and any larger t is rejected.
+        argv = ["bound", "--num-arms", "2", "--delta", "0.0", "--rho", "0.0", *schedule]
+        largest = int(sys.float_info.max)
+        assert main([*argv, "--t-grid", "3", str(largest)]) == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        assert row[0] == str(largest)
+        assert all(math.isfinite(float(cell)) for cell in row[4:12])
+        for t in (largest + 1, 10**309):
+            assert main([*argv, "--t-grid", str(t)]) == 2
+            assert "[bad_parameter]: --t-grid value must be an integer in [1, " in (
+                capsys.readouterr().err
+            )
+        with pytest.raises(ValidationError, match=r"^t must be an integer in \[1, "):
+            selection_lower_bound(InverseTimeSchedule(2.0), 10**309, 2, 0.1, 0.1)
 
     def test_malformed_config_bytes(self, tmp_path, capsys):
         rng = random.Random(20261019)

@@ -275,6 +275,9 @@ AS_FLOAT_CASES = [
     (math.inf, "x must lie in (0, 2], got inf"),
     (math.nan, "x must lie in (0, 2], got nan"),
     (np.float64(math.nan), "x must lie in (0, 2], got nan"),
+    (10**309, "x must lie in (0, 2], got inf"),
+    (-(10**309), "x must lie in (0, 2], got -inf"),
+    (Fraction(10**400, 3), "x must lie in (0, 2], got inf"),
 ]
 AS_INT_CASES = [
     (3, 3),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -154,6 +156,18 @@ def test_cumulative_frozen_values():
     assert sched.cumulative(2) == pytest.approx(0.75, abs=0)
 
 
+def test_constant_cumulative_is_correctly_rounded():
+    # value * t rounds t to a double first, which differs above 2**53.
+    assert ConstantSchedule(0.3).cumulative(2**53 + 1) == 2702159776422298.0
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        v = rng.choice([rng.random(), 0.1, 0.3, 1 / 3, 1.0])
+        t = rng.randrange(2**53, 2**60)
+        assert ConstantSchedule(v).cumulative(t) == float(Fraction(v) * t), (v, t)
+    assert ConstantSchedule(0.5).cumulative(10**309) == math.inf
+    assert ConstantSchedule(0.5).cumulative(np.int64(2**62 + 1)) == 2**61
+
+
 def test_cumulative_matches_digamma_identity():
     # Independent closed form: sum_{n=m+1}^{t} 1/n = psi(t+1) - psi(m+1).
     k, t = 41.3, 100_000
@@ -169,6 +183,12 @@ def test_cumulative_small_equals_direct_sum():
         assert sched.cumulative(t) == pytest.approx(direct, rel=1e-14)
 
 
+# Exact H_n for n <= 1001.
+_EXACT_HARMONIC = tuple(
+    itertools.accumulate((Fraction(1, n) for n in range(1, 1002)), initial=Fraction(0))
+)
+
+
 def _inverse_time_reference(k: float, t: int) -> float:
     """Nearest double to sum_{n<=t} min(1, k/n), k taken as the stored double."""
     flat = math.floor(k)
@@ -177,8 +197,7 @@ def _inverse_time_reference(k: float, t: int) -> float:
     if t <= 1001:
         # Exact rationals: k = 3.7, t = 4 is an exact rounding tie, where a
         # 60-digit mpmath value lands on the wrong side of the midpoint.
-        tail = sum(Fraction(1, n) for n in range(flat + 1, t + 1))
-        return float(flat + Fraction(k) * tail)
+        return float(flat + Fraction(k) * (_EXACT_HARMONIC[t] - _EXACT_HARMONIC[flat]))
     with mpmath.workdps(60):
         return float(flat + mpmath.mpf(k) * (mpmath.harmonic(t) - mpmath.harmonic(flat)))
 
@@ -192,30 +211,93 @@ def test_cumulative_is_correctly_rounded(k):
         assert InverseTimeSchedule(k).cumulative(t) == _inverse_time_reference(k, t), t
 
 
+def test_cumulative_is_correctly_rounded_across_the_bound_grid():
+    # k log-uniform in (1, 2000], integer, or just above an integer; t
+    # log-uniform up to 1e8, at the edges c = j 2^e and (j + 1) 2^e - 1 of
+    # _ln's table, or where the direct sums hand over to the expansion.
+    rng = random.Random(20261021)
+    for _ in range(2000):
+        j = rng.randint(2, 2000)
+        k = rng.choice([10 ** rng.uniform(0.0, math.log10(2000)), float(j), j + 2.0**-40])
+        if k <= 1.0:
+            continue
+        draw = rng.random()
+        if draw < 0.6:
+            t = round(10 ** rng.uniform(0.0, 8.0))
+        elif draw < 0.95:
+            lead, e = rng.randrange(64, 128), rng.randint(0, 20)
+            t = rng.choice([lead << e, ((lead + 1) << e) - 1])
+        else:
+            t = rng.choice([99, 100, 101])
+        assert InverseTimeSchedule(k).cumulative(t) == _inverse_time_reference(k, t), (k, t)
+
+
+# The Euler-Maclaurin coefficients in units, term by term.
+_SERIES = tuple(itertools.chain.from_iterable(strategies._HARMONIC_SERIES))
+
+
+def _series_terms(n: int) -> int:
+    """How many Euler-Maclaurin terms _harmonic adds at n >= 100."""
+    terms = (c // n ** (2 * j) for j, c in enumerate(_SERIES, 1))
+    return sum(1 for _ in itertools.takewhile(bool, terms))
+
+
+def _stop_edges() -> list[int]:
+    """The n >= 100 on either side of each point where a series term
+    starts to floor to 0."""
+    edges = {100}
+    for j, c in enumerate(_SERIES, 1):
+        # The least n with n^2j > c, by bisection.
+        lo, hi = 1, 1 << (c.bit_length() // (2 * j) + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if mid ** (2 * j) <= c else (lo, mid)
+        edges |= {lo - 1, lo} - set(range(100))
+    return sorted(edges)
+
+
+def _harmonic_bound(n: int) -> int:
+    """The proven error of _harmonic(n), in units."""
+    return max(n, 1) if n < 100 else 165 * (n.bit_length() - 7) + 3628
+
+
 def test_fixed_point_harmonic_within_documented_error():
-    # |_harmonic(n) - 2^P H_n| < 2^63 + 2^9 n.bit_length() units, against
-    # exact rationals; n = 100 and up go through the expansion.
+    # |_harmonic(n) - 2^P H_n| is below n units under 100 and below
+    # 165 e + 3628 from 100 on, both under 2^12 + 2^8 n.bit_length(),
+    # against exact rationals; n = 100 and up go through the expansion.
     one = strategies._FIXED_ONE
-    exact = Fraction(0)
-    for n in range(0, 1001):
-        if n:
-            exact += Fraction(1, n)
+    for n, exact in enumerate(_EXACT_HARMONIC[:1001]):
         error = abs(strategies._harmonic(n) - exact * one)
-        assert error < 2**63 + 2**9 * n.bit_length(), n
+        assert error < _harmonic_bound(n) <= 2**12 + 2**8 * n.bit_length(), n
+    assert _series_terms(100) == 9  # the tenth term floors to 0
+
+
+def test_fixed_point_harmonic_at_the_series_edges():
+    # On either side of each n where a term starts to floor to 0, from
+    # n = 100 (all ten terms run) to about 2**62.2 (the first one does).
+    edges = _stop_edges()
+    assert [_series_terms(n) for n in edges[:3]] == [9, 9, 8]
+    assert _series_terms(edges[-2]) == 1 and _series_terms(edges[-1]) == 0
+    assert edges[-1] > 2**62
+    for n in edges + [2**64, 3**100]:
+        with mpmath.workprec(2 * strategies._FIXED_BITS + n.bit_length()):
+            exact = mpmath.harmonic(n) * strategies._FIXED_ONE
+            error = abs(strategies._harmonic(n) - exact)
+            assert error < _harmonic_bound(n) <= 2**12 + 2**8 * n.bit_length(), n
 
 
 @pytest.mark.parametrize(
     "n",
-    [64, 100, 127, 128, 129, 1000, 12345, 10**5, 10**8, 2**40 + 12345,
+    [64, 100, 127, 128, 129, 1000, 12345, 10**5, 10**8, 2**40 + 12345, 2**64 - 1,
      pytest.param(3**200, id="3**200")],
 )
 def test_fixed_point_ln_within_documented_error(n):
-    # _ln(n) is below 2^P ln n by less than 261 e + 5726 units,
+    # _ln(n) is below 2^P ln n by less than 165 e + 3614 units,
     # e = n.bit_length() - 7.
     e = n.bit_length() - 7
     with mpmath.workprec(2 * strategies._FIXED_BITS + n.bit_length()):
         gap = mpmath.log(n) * strategies._FIXED_ONE - strategies._ln(n)
-        assert 0 <= gap < 261 * e + 5726
+        assert 0 <= gap < 165 * e + 3614
 
 
 def test_cumulative_past_the_largest_double_is_inf():
