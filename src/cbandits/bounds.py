@@ -90,10 +90,17 @@ class BoundReport:
     vacuous: bool
 
 
-def _clamp(factors: tuple[float, ...], raw: float) -> tuple[float, bool]:
-    vacuous = raw <= 0.0 or any(f < 0.0 for f in factors)
-    clamped = 0.0 if vacuous else min(1.0, raw)
-    return clamped, vacuous
+def _clamp(raw: float, negative: bool) -> tuple[float, bool]:
+    """(clamped, vacuous) for a raw product, given whether any of its
+    factors is negative.
+
+    Vacuous rows clamp to 0.0.  Otherwise the value is ``raw`` if it is
+    below 1 and 1.0 if not, as min(1.0, raw) would give, NaN included:
+    a NaN raw product is neither vacuous nor below 1.
+    """
+    if negative or raw <= 0.0:
+        return 0.0, True
+    return (raw if raw < 1.0 else 1.0), False
 
 
 def _check_parameters(num_arms: int, delta: float, rho: float) -> tuple[int, float, float]:
@@ -116,10 +123,15 @@ def _selection_terms(schedule: EpsilonSchedule, t: int, n: int, delta: float, rh
     factor_count = 1.0 - n * math.exp(-x / 5.0)
     factor_feas = 1.0 - 2.0 * n * math.exp(-2.0 * delta * delta * x)
     factor_reward = 1.0 - 2.0 * n * math.exp(-(rho * rho / 2.0) * x)
-    factors = (factor_eps, factor_count, factor_feas, factor_reward)
-    assert all(f <= 1.0 for f in factors)
+    assert (
+        factor_eps <= 1.0 and factor_count <= 1.0 and factor_feas <= 1.0 and factor_reward <= 1.0
+    )
     raw = factor_eps * factor_count * factor_feas * factor_reward
-    return (epsilon_t, x, *factors, raw, *_clamp(factors, raw))
+    clamped, vacuous = _clamp(
+        raw, factor_eps < 0.0 or factor_count < 0.0 or factor_feas < 0.0 or factor_reward < 0.0
+    )
+    return (epsilon_t, x, factor_eps, factor_count, factor_feas, factor_reward,
+            raw, clamped, vacuous)
 
 
 def selection_lower_bound(
@@ -215,7 +227,8 @@ def _closed_form_terms(k: float, n: int, t: float, alpha: float, log_beta: float
         # Only a tail ratio above about e**236 gets here, so factor_tail
         # is negative and the row reads vacuous either way.
         raw = -math.inf
-    return (factor_eps, factor_tail, raw, *_clamp((factor_eps, factor_tail), raw))
+    clamped, vacuous = _clamp(raw, factor_eps < 0.0 or factor_tail < 0.0)
+    return factor_eps, factor_tail, raw, clamped, vacuous
 
 
 def closed_form_lower_bound(

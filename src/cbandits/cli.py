@@ -247,6 +247,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    """Write one CSV row per ``--t-grid`` value.
+
+    The cells come from the term functions of selection_lower_bound and
+    closed_form_lower_bound, without a report per row, and each printed
+    float is formatted once.  A vacuous row reads ``0.0`` as ``clamped``;
+    any other row has every factor in [0, 1], so raw <= 1 and clamped is
+    raw, and the row repeats raw's cell.  The closed-form cells read
+    their clamped value, ``0.0`` where vacuous, blank before t = k.
+    """
     schedule = _bound_schedule(args)
     grid = _increasing_steps(args.t_grid, "--t-grid")
     _as_int(grid[-1], "bad_parameter", "--t-grid value", 1, _MAX_T)
@@ -259,29 +268,34 @@ def cmd_bound(args: argparse.Namespace) -> int:
     }[args.variant]
     columns = BOUNDS_CSV_COLUMNS + tuple(f"closed_form_{v}" for v in variants)
     inverse_time = isinstance(schedule, InverseTimeSchedule)
+    k = schedule.k if inverse_time else None
     exponents = [
-        closed_form_exponents(schedule.k, num_arms, delta, rho, v)
-        for v in variants
-        if inverse_time
+        closed_form_exponents(k, num_arms, delta, rho, v) for v in variants if inverse_time
     ]
 
-    # The rows come from the arithmetic of selection_lower_bound and
-    # closed_form_lower_bound, without building a report per row.
     constants = ",".join(_format_csv_value(v) for v in (num_arms, delta, rho))
-    blanks = [""] * len(variants)
+    blanks = "," * len(variants)
     lines = [",".join(columns)]
     for t in grid:
-        *values, vacuous = _selection_terms(schedule, t, num_arms, delta, rho)
-        cells = [str(t), constants, *map(repr, values), "true" if vacuous else "false"]
-        if inverse_time and t >= schedule.k:
+        (epsilon_t, x, factor_eps, factor_count, factor_feas, factor_reward,
+         raw, _, vacuous) = _selection_terms(schedule, t, num_arms, delta, rho)
+        raw_cell = repr(raw)
+        # Keyed on vacuous, not on clamped == raw: a vacuous raw of -0.0
+        # equals 0.0 but prints as -0.0.
+        row = (
+            f"{t},{constants},{epsilon_t!r},{x!r},{factor_eps!r},{factor_count!r},"
+            f"{factor_feas!r},{factor_reward!r},{raw_cell},"
+            + ("0.0,true" if vacuous else f"{raw_cell},false")
+        )
+        if inverse_time and t >= k:
             for alpha, log_beta in exponents:
-                *_, clamped, _ = _closed_form_terms(
-                    schedule.k, num_arms, float(t), alpha, log_beta
+                _, _, _, closed, closed_vacuous = _closed_form_terms(
+                    k, num_arms, float(t), alpha, log_beta
                 )
-                cells.append(repr(clamped))
+                row += ",0.0" if closed_vacuous else f",{closed!r}"
         else:
-            cells += blanks
-        lines.append(",".join(cells))
+            row += blanks
+        lines.append(row)
 
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -338,6 +352,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _IntList(argparse.Action):
+    """Store an option's values as a list of ints, converted at once.
+
+    A token int() rejects fails as under ``type=int``: the same message,
+    raised while the option is parsed, so before a missing required
+    option is reported.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            setattr(namespace, self.dest, list(map(int, values)))
+        except ValueError:
+            for value in values:  # the first token int() rejects
+                try:
+                    int(value)
+                except ValueError:
+                    raise argparse.ArgumentError(
+                        self, f"invalid int value: {value!r}"
+                    ) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cbandits",
@@ -369,7 +404,7 @@ def main(argv=None) -> int:
     bound_parser.add_argument(
         "--epsilon", type=float, default=None, help="constant schedule"
     )
-    bound_parser.add_argument("--t-grid", type=int, nargs="+", required=True)
+    bound_parser.add_argument("--t-grid", action=_IntList, nargs="+", required=True)
     bound_parser.add_argument(
         "--variant",
         choices=["both", VARIANT_RHO_SQUARED, VARIANT_RHO_LINEAR],

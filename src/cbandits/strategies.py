@@ -268,8 +268,9 @@ class InverseTimeSchedule(EpsilonSchedule):
 
     k: float
     kind = "inverse_time"
-    # k = m/d as (m, d), and H_floor(k): every cumulative(t) with t > k
-    # needs both.
+    # floor(k), k = m/d as (m, d), and H_floor(k): every cumulative(t)
+    # with t > k needs all three.
+    _flat: int = field(init=False, repr=False, compare=False)
     _ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
     _harmonic_flat: int = field(init=False, repr=False, compare=False)
 
@@ -281,16 +282,22 @@ class InverseTimeSchedule(EpsilonSchedule):
                 f"inverse_time schedule requires k > 1, got {k}",
             )
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_flat", math.floor(k))
         object.__setattr__(self, "_ratio", k.as_integer_ratio())
-        object.__setattr__(self, "_harmonic_flat", _harmonic(math.floor(k)))
+        object.__setattr__(self, "_harmonic_flat", _harmonic(self._flat))
 
     def epsilon(self, t: int) -> float:
         t = _as_int(t, "bad_parameter", "step index", 1)
-        return min(1.0, self.k / t)
+        if t <= 1 << 53:  # t is a double, so k / t rounds once
+            return min(1.0, self.k / t)
+        # k / t would round t to a double first; int true division rounds
+        # the exact quotient once.
+        m, d = self._ratio
+        return min(1.0, m / (d * t))
 
     def cumulative(self, t: int) -> float:
         t = _as_int(t, "bad_parameter", "step index", 1)
-        flat = math.floor(self.k)
+        flat = self._flat
         if t <= flat:
             return float(t)
         m, d = self._ratio

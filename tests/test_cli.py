@@ -380,6 +380,73 @@ class TestBound:
             out = capsys.readouterr().out
             assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
+    # SHA-256 of stdout at each (k, num_arms, delta, rho) point of the
+    # benchmark's bound-grid panel, on the same seeded 1,000-point grid.
+    BENCHMARK_PANEL_DIGESTS = {
+        (40.0, 2, 0.5, 0.5):
+            "0a62188376df288c58f80aeab6478956a76f695ed9509a690d7216add83dfbdf",
+        (120.0, 4, 0.2, 0.3):
+            "f636edf38df76048895e06e75fa8851df8fc91e8b0d0945eddff27fd04e4afaf",
+        (8.5, 3, 0.3, 0.4):
+            "e99e1f4e67330e10eeb723cba3e0ecae1c9e315901b7527e3a18d5bc0b0102be",
+        (800.0, 8, 0.1, 0.2):
+            "8f220d8f578d1e4fbbf7aa4ece255c775baa4c31a9376fa8ccb7b7d7f9e328b9",
+    }
+
+    def test_benchmark_panel_is_frozen(self, capsys):
+        # t = 1..40 and 10**8, then log-uniform t up to 10**8.
+        rng = random.Random(20261020)
+        grid = set(range(1, 41)) | {10**8}
+        while len(grid) < 1000:
+            grid.add(int(10 ** rng.uniform(math.log10(41), 8.0)))
+        for (k, n, delta, rho), digest in self.BENCHMARK_PANEL_DIGESTS.items():
+            argv = ["bound", "--num-arms", str(n), "--delta", repr(delta), "--rho", repr(rho),
+                    "--k", repr(k), "--t-grid", *map(str, sorted(grid))]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (k, n, delta, rho)
+
+    @pytest.mark.parametrize("token", ["2x", "1e3", "0x10", ""])
+    def test_bad_t_grid_token_exits_2(self, capsys, token):
+        for argv in (["--num-arms", "2"], []):
+            # Without --num-arms, the bad token is still what is reported.
+            with pytest.raises(SystemExit) as exc:
+                main(["bound", *argv, "--delta", "0.1", "--rho", "0.3", "--k", "40",
+                      "--t-grid", "1", token])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert captured.err.splitlines()[-1] == (
+                f"cbandits bound: error: argument --t-grid: invalid int value: {token!r}"
+            )
+
+    def test_t_grid_accepts_what_int_accepts(self, capsys):
+        code, out = self.run_bound(capsys, ["--k", "40", "--t-grid", "+3", " 7", "1_000"])
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["3", "7", "1000"]
+
+    def test_vacuous_row_reads_zero_whatever_its_raw(self, capsys, monkeypatch):
+        # A vacuous raw of -0.0 compares equal to 0.0 but prints as -0.0;
+        # the clamped cells still read 0.0.
+        selection, closed_form = cli._selection_terms, cli._closed_form_terms
+
+        def selection_at_1000(schedule, t, *rest):
+            terms = selection(schedule, t, *rest)
+            return (*terms[:6], -0.0, 0.0, True) if t == 1000 else terms
+
+        def closed_form_at_1000(k, n, t, *rest):
+            terms = closed_form(k, n, t, *rest)
+            return (*terms[:2], -0.0, 0.0, True) if t == 1000.0 else terms
+
+        monkeypatch.setattr(cli, "_selection_terms", selection_at_1000)
+        monkeypatch.setattr(cli, "_closed_form_terms", closed_form_at_1000)
+        code, out = self.run_bound(capsys, ["--k", "40", "--t-grid", "1000", "100000"])
+        assert code == 0
+        header, *lines = out.splitlines()
+        patched, plain = (dict(zip(header.split(","), line.split(","))) for line in lines)
+        assert (patched["raw"], patched["clamped"], patched["vacuous"]) == ("-0.0", "0.0", "true")
+        assert patched["closed_form_rho_squared"] == patched["closed_form_rho_linear"] == "0.0"
+        assert plain["vacuous"] == "false" and plain["clamped"] == plain["raw"] != "0.0"
+
     @pytest.mark.parametrize("schedule", [["--k", "40"], ["--epsilon", "0.5"]])
     @pytest.mark.parametrize(
         ("params", "message"),

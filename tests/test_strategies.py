@@ -168,6 +168,25 @@ def test_constant_cumulative_is_correctly_rounded():
     assert ConstantSchedule(0.5).cumulative(np.int64(2**62 + 1)) == 2**61
 
 
+def test_inverse_time_epsilon_is_correctly_rounded():
+    # k / t rounds t to a double first, which differs above 2**53.
+    k, t = 477.0723072431449, 159374444711811914
+    assert k / t != float(Fraction(k) / t)
+    assert InverseTimeSchedule(k).epsilon(t) == float(Fraction(k) / t)
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        k = rng.uniform(1.5, 2000.0)
+        t = rng.randrange(2**53, 2**60)
+        assert InverseTimeSchedule(k).epsilon(t) == float(Fraction(k) / t), (k, t)
+    # Up to 2**53, t is a double, so k / t was already correctly rounded.
+    for _ in range(500):
+        k = rng.uniform(1.5, 2000.0)
+        t = rng.randrange(1, 2**53 + 1)
+        assert InverseTimeSchedule(k).epsilon(t) == min(1.0, float(Fraction(k) / t)), (k, t)
+    assert InverseTimeSchedule(2.0).epsilon(10**400) == 0.0
+    assert InverseTimeSchedule(1e300).epsilon(2**60) == 1.0
+
+
 def test_cumulative_matches_digamma_identity():
     # Independent closed form: sum_{n=m+1}^{t} 1/n = psi(t+1) - psi(m+1).
     k, t = 41.3, 100_000
