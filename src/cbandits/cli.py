@@ -352,27 +352,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-class _IntList(argparse.Action):
-    """Store an option's values as a list of ints, converted at once.
-
-    A token int() rejects fails as under ``type=int``: the same message,
-    raised while the option is parsed, so before a missing required
-    option is reported.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        try:
-            setattr(namespace, self.dest, list(map(int, values)))
-        except ValueError:
-            for value in values:  # the first token int() rejects
-                try:
-                    int(value)
-                except ValueError:
-                    raise argparse.ArgumentError(
-                        self, f"invalid int value: {value!r}"
-                    ) from None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cbandits",
@@ -404,7 +383,7 @@ def main(argv=None) -> int:
     bound_parser.add_argument(
         "--epsilon", type=float, default=None, help="constant schedule"
     )
-    bound_parser.add_argument("--t-grid", action=_IntList, nargs="+", required=True)
+    bound_parser.add_argument("--t-grid", type=int, nargs="+", required=True)
     bound_parser.add_argument(
         "--variant",
         choices=["both", VARIANT_RHO_SQUARED, VARIANT_RHO_LINEAR],
