@@ -289,10 +289,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
         )
         if inverse_time and t >= k:
             for alpha, log_beta in exponents:
-                _, _, _, closed, closed_vacuous = _closed_form_terms(
-                    k, num_arms, float(t), alpha, log_beta
-                )
-                row += ",0.0" if closed_vacuous else f",{closed!r}"
+                _, _, _, closed, _ = _closed_form_terms(k, num_arms, float(t), alpha, log_beta)
+                row += f",{closed!r}"
         else:
             row += blanks
         lines.append(row)

@@ -269,7 +269,7 @@ class InverseTimeSchedule(EpsilonSchedule):
     k: float
     kind = "inverse_time"
     # floor(k), k = m/d as (m, d), and H_floor(k): every cumulative(t)
-    # with t > k needs all three.
+    # with t > k needs all three, and epsilon(t) reads (m, d).
     _flat: int = field(init=False, repr=False, compare=False)
     _ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
     _harmonic_flat: int = field(init=False, repr=False, compare=False)
@@ -288,10 +288,8 @@ class InverseTimeSchedule(EpsilonSchedule):
 
     def epsilon(self, t: int) -> float:
         t = _as_int(t, "bad_parameter", "step index", 1)
-        if t <= 1 << 53:  # t is a double, so k / t rounds once
-            return min(1.0, self.k / t)
-        # k / t would round t to a double first; int true division rounds
-        # the exact quotient once.
+        # k / t would round a t above 2**53 to a double first; int true
+        # division rounds the exact quotient once.
         m, d = self._ratio
         return min(1.0, m / (d * t))
 

@@ -178,11 +178,12 @@ def test_inverse_time_epsilon_is_correctly_rounded():
         k = rng.uniform(1.5, 2000.0)
         t = rng.randrange(2**53, 2**60)
         assert InverseTimeSchedule(k).epsilon(t) == float(Fraction(k) / t), (k, t)
-    # Up to 2**53, t is a double, so k / t was already correctly rounded.
+    # Up to 2**53, t is a double, so k / t is correctly rounded too.
     for _ in range(500):
         k = rng.uniform(1.5, 2000.0)
-        t = rng.randrange(1, 2**53 + 1)
-        assert InverseTimeSchedule(k).epsilon(t) == min(1.0, float(Fraction(k) / t)), (k, t)
+        t = rng.choice((rng.randrange(1, 10**4), rng.randrange(1, 2**53 + 1)))
+        expected = min(1.0, float(Fraction(k) / t))
+        assert InverseTimeSchedule(k).epsilon(t) == expected == min(1.0, k / t), (k, t)
     assert InverseTimeSchedule(2.0).epsilon(10**400) == 0.0
     assert InverseTimeSchedule(1e300).epsilon(2**60) == 1.0
 
