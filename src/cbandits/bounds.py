@@ -15,8 +15,9 @@ result of a private function that returns the terms as a tuple;
 formula has one copy.
 
 Raw products are reported alongside clamped values.  A bound is vacuous
-when any factor is negative or the product is nonpositive; the clamped
-value is 0 there and min(1, raw) otherwise, so it always lies in [0, 1].
+when any factor is negative or the product is not positive (NaN
+included); the clamped value is 0 there and min(1, raw) otherwise, so
+it always lies in [0, 1].
 Negative factors must force vacuity explicitly: two negative factors
 multiply to a positive raw product that carries no guarantee.
 """
@@ -94,22 +95,41 @@ def _clamp(raw: float, negative: bool) -> tuple[float, bool]:
     """(clamped, vacuous) for a raw product, given whether any of its
     factors is negative.
 
-    Vacuous rows clamp to 0.0.  Otherwise the value is ``raw`` if it is
-    below 1 and 1.0 if not, as min(1.0, raw) would give, NaN included:
-    a NaN raw product is neither vacuous nor below 1.
+    Vacuous rows clamp to 0.0.  A NaN raw product carries no guarantee,
+    so it is vacuous too.  Otherwise the value is ``raw`` if it is below
+    1 and 1.0 if not, as min(1.0, raw) would give.
     """
-    if negative or raw <= 0.0:
+    if negative or not raw > 0.0:
         return 0.0, True
     return (raw if raw < 1.0 else 1.0), False
 
 
+# The largest num_arms, delta and rho for which the largest product the
+# bounds form from each, 10 * num_arms, 2 * delta**2 and rho**2, is a
+# finite double.  Past them a factor can read inf * 0 = NaN.
+_LIMITS = (
+    ("num_arms", sys.float_info.max / 10.0, "10 * num_arms"),
+    ("delta", math.sqrt(sys.float_info.max / 2.0), "2 * delta**2"),
+    ("rho", math.sqrt(sys.float_info.max), "rho**2"),
+)
+
+
 def _check_parameters(num_arms: int, delta: float, rho: float) -> tuple[int, float, float]:
-    """``num_arms``, ``delta`` and ``rho`` as every bound takes them."""
-    return (
+    """``num_arms``, ``delta`` and ``rho`` as every bound takes them, each
+    no larger than its ``_LIMITS`` entry."""
+    checked = (
         _as_int(num_arms, "bad_parameter", "num_arms", 2),
         _as_float(delta, "bad_parameter", "delta", 0.0),
         _as_float(rho, "bad_parameter", "rho", 0.0),
     )
+    for value, (what, limit, product) in zip(checked, _LIMITS):
+        if value > limit:
+            raise ValidationError(
+                "bad_parameter",
+                f"{what} must be at most {limit!r}, so that {product} is finite, "
+                f"got {value!r}",
+            )
+    return checked
 
 
 def _selection_terms(schedule: EpsilonSchedule, t: int, n: int, delta: float, rho: float) -> tuple:

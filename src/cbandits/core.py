@@ -12,7 +12,7 @@ which keeps trajectories replayable and makes each replication's draws
 the same in any chunk of the kernel.
 :func:`step_uniforms` is the only place that maps a (step, replication)
 pair to its uniforms; for large blocks on a multi-CPU process it draws
-the next steps on one helper thread while the caller works, with the
+the next steps on a one-thread executor while the caller works, with the
 same bits as drawing each block when asked.
 
 Building, checking and describing distributions and instances is plain
@@ -26,6 +26,7 @@ bound``, ``oracle`` and ``validate`` load neither.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -63,7 +64,8 @@ __all__ = [
 # x86-64 host the kernel tied at 2,000 replications and drew ahead faster
 # at 3,000 (7 of 7 alternating pairs).
 _DRAW_AHEAD_REPLICATIONS = 3000
-# Blocks the helper may have drawn and the consumer not yet taken.
+# Draws in flight ahead of the consumer: blocks the helper may have drawn
+# and the consumer not yet taken.  With one, mc-wide ran about 16 % slower.
 _DRAW_AHEAD_BLOCKS = 2
 # True in a pool's worker process (_mark_pool_worker), whose streams draw
 # inline: a pool that fills every CPU ran slower with helpers, and one
@@ -589,16 +591,16 @@ def step_uniforms(master_seed: int, rep_lo: int, rep_hi: int) -> Generator[np.nd
 
     With at least ``_DRAW_AHEAD_REPLICATIONS`` replications, outside a
     pool's workers (:func:`_mark_pool_worker`) and on a process that may
-    run on more than one CPU, one helper thread draws the next steps'
+    run on more than one CPU, a one-thread executor draws the next steps'
     blocks while the caller works on the current one (numpy releases the
     GIL while it fills a block); otherwise each block is drawn when it is
     asked for.  Both paths call the one draw function in the same order,
-    so they yield the same bits.  The helper starts at the first ``next`` and
-    keeps at most ``_DRAW_AHEAD_BLOCKS`` blocks waiting, plus the one it
-    is filling, so memory stays O(replications) whatever the horizon.
-    Closing the generator, or dropping its last reference, stops and
-    joins the helper; an exception raised while drawing is re-raised by
-    ``next``.
+    so they yield the same bits.  The helper thread starts at the first
+    ``next`` and has at most ``_DRAW_AHEAD_BLOCKS`` blocks drawn or being
+    drawn past those handed out, so memory stays O(replications)
+    whatever the horizon.  Closing the generator, or dropping its last
+    reference, cancels the draws not started and joins the helper; an
+    exception raised while drawing is re-raised by ``next``.
     """
     rep_lo = _as_int(rep_lo, "bad_parameter", "rep_lo", 0)
     rep_hi = _as_int(rep_hi, "bad_parameter", "rep_hi", rep_lo + 1, 2**64)
@@ -642,43 +644,19 @@ def _drawn_inline(draw) -> Generator[np.ndarray, None, None]:
 
 
 def _drawn_ahead(draw) -> Generator[np.ndarray, None, None]:
-    """Blocks drawn on a helper thread, at most ``_DRAW_AHEAD_BLOCKS``
-    ahead of the consumer.  On exit the helper is told to stop, and the
-    queue is drained so that a helper blocked on a full queue wakes up:
-    after the drain it can put at most one block before it sees the stop,
-    so it never blocks again and the join returns without a timeout.
-    While the interpreter shuts down, the daemon helper is left alone: it
-    may already be stopped without being marked as done, and the modules
-    that the stop, drain and join read may already be cleared."""
-    import queue
-    import threading
+    """Blocks drawn on a one-thread executor, ``_DRAW_AHEAD_BLOCKS``
+    draws in flight ahead of the consumer.  The executor runs them in
+    order and re-raises a draw's exception from its future; on exit the
+    draws not started are cancelled and the thread is joined."""
+    # Imported here: it loads logging, which the inline path never needs.
+    from concurrent.futures import ThreadPoolExecutor
 
-    is_finalizing = sys.is_finalizing  # module globals may be gone by then
-
-    blocks = queue.Queue(maxsize=_DRAW_AHEAD_BLOCKS)
-    stop = threading.Event()
-
-    def produce():
-        try:
-            while not stop.is_set():
-                blocks.put(draw())
-        except BaseException as exc:  # handed to the consumer, never lost
-            blocks.put(exc)
-
-    helper = threading.Thread(target=produce, name="cbandits.step_uniforms", daemon=True)
-    helper.start()
+    helper = ThreadPoolExecutor(1, thread_name_prefix="cbandits.step_uniforms")
     try:
+        pending = collections.deque(helper.submit(draw) for _ in range(_DRAW_AHEAD_BLOCKS))
         while True:
-            block = blocks.get()
-            if isinstance(block, BaseException):
-                raise block
+            block = pending.popleft().result()
+            pending.append(helper.submit(draw))
             yield block
     finally:
-        if not is_finalizing():
-            stop.set()
-            try:
-                while True:
-                    blocks.get_nowait()
-            except queue.Empty:
-                pass
-            helper.join()
+        helper.shutdown(cancel_futures=True)

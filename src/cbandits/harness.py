@@ -16,7 +16,7 @@ replication r depend only on (master_seed, t, r), read from
 scheduling, worker count and chunk layout, and leaves the estimate at a
 checkpoint unchanged when a later one is added.  For large chunks outside
 a pool's workers, on more than one CPU, the stream draws the next steps
-on a helper thread while the kernel works (same bits, at most three
+on a helper thread while the kernel works (same bits, at most two
 blocks of memory more); :func:`run_chunk` closes it, so no thread
 outlives the chunk.  numpy is imported only
 where arrays are made, so an :class:`ExperimentConfig` is built and

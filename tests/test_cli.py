@@ -20,7 +20,7 @@ import yaml
 import cbandits.cli as cli
 import cbandits.core as core
 from cbandits.core import ValidationError
-from cbandits.bounds import closed_form_lower_bound, selection_lower_bound
+from cbandits.bounds import _check_parameters, closed_form_lower_bound, selection_lower_bound
 from cbandits.cli import (
     BOUNDS_CSV_COLUMNS,
     experiment_from_mapping,
@@ -945,6 +945,33 @@ def random_bound_argv(rng):
     return [*argv, "--t-grid", *map(str, grid), "--variant", variant]
 
 
+def log_uniform_int(rng, digits):
+    """An integer drawn log-uniformly from [1, 10**digits], with 16
+    significant digits."""
+    exponent = rng.uniform(0.0, digits)
+    return round(10 ** (exponent % 1) * 10**15) * 10 ** int(exponent) // 10**15
+
+
+def extreme_bound_argv(rng):
+    """One ``bound --variant both`` argv whose k or epsilon, t, n, delta
+    and rho are each drawn log-uniformly, half the time over their usual
+    range and half the time up to the edges of the double range."""
+
+    def wide():
+        return rng.random() < 0.5
+
+    argv = ["bound", "--num-arms", str(1 + log_uniform_int(rng, 310 if wide() else 2))]
+    for key in ("--delta", "--rho"):
+        argv += [key, repr(10 ** (rng.uniform(-324, 308.25) if wide() else rng.uniform(-2, 0)))]
+    if rng.random() < 0.7:
+        argv += ["--k", repr(10 ** (rng.uniform(0, 308.25) if wide() else rng.uniform(0, 4)))]
+    else:
+        argv += ["--epsilon", repr(10 ** rng.uniform(-324, 0))]
+    digits = 309 if wide() else 12
+    grid = sorted({log_uniform_int(rng, digits) for _ in range(rng.randint(1, 4))})
+    return [*argv, "--t-grid", *map(str, grid), "--variant", "both"]
+
+
 def malformed_config(rng, base: bytes) -> bytes:
     """``base`` truncated, with one byte replaced, or with a stray byte or
     a byte order mark put in."""
@@ -989,6 +1016,54 @@ class TestRobustnessSweep:
                 digest.update(f"{i} {code}\n{out}".encode())
         assert codes[0] > 200 and codes[2] > 50
         assert digest.hexdigest() == self.BOUND_DIGEST
+
+    # Each left the doubles in an intermediate: the first printed the NaN
+    # closed form as the certain bound 1.0, the others exited 1.
+    EXTREME_REPRODUCERS = (
+        ["bound", "--num-arms", "2", "--delta", "0.5", "--rho", "1", "--k", "1e308",
+         "--t-grid", str(int(1e308)), "--variant", "both"],
+        ["bound", "--num-arms", str(10**309), "--delta", "0.1", "--rho", "0.1", "--k", "3",
+         "--t-grid", "10"],
+        ["bound", "--num-arms", str(10**308), "--delta", "1e200", "--rho", "0.1", "--k", "3",
+         "--t-grid", "10"],
+        ["bound", "--epsilon", "5e-324", "--num-arms", "4", "--delta", "1e200", "--rho", "0.1",
+         "--t-grid", "1"],
+    )
+
+    def test_bound_arguments_up_to_the_double_range(self, capsys):
+        # As AC5 requires, the rho_squared closed form never exceeds the
+        # clamped exact bound.
+        rng = random.Random(20261021)
+        argvs = [*self.EXTREME_REPRODUCERS, *(extreme_bound_argv(rng) for _ in range(1000))]
+        codes, positive = [], 0
+        for argv in argvs:
+            codes.append(exit_code(argv))
+            captured = capsys.readouterr()
+            assert codes[-1] in (0, 2), (argv, captured.err)
+            if codes[-1] == 2:
+                assert "[bad_parameter]: " in captured.err or "[bad_schedule]: " in captured.err
+                continue
+            header, *lines = captured.out.splitlines()
+            for line in lines:
+                row = dict(zip(header.split(","), line.split(",")))
+                closed = row["closed_form_rho_squared"]
+                assert closed == "" or float(closed) <= float(row["clamped"]) + 1e-12, (argv, line)
+                positive += closed not in ("", "0.0")
+        assert codes[:4] == [0, 2, 2, 2]
+        assert codes.count(0) > 500 and codes.count(2) > 200 and positive > 10
+
+    def test_parameters_at_the_double_limits(self):
+        largest = sys.float_info.max
+        limits = (int(largest / 10), math.sqrt(largest / 2), math.sqrt(largest))
+        assert _check_parameters(*limits) == limits
+        for i, what in enumerate(("num_arms", "delta", "rho")):
+            past = list(limits)
+            past[i] = limits[i] + 1 if i == 0 else math.nextafter(limits[i], math.inf)
+            with pytest.raises(ValidationError, match=f"^{what} must be at most "):
+                _check_parameters(*past)
+        report = closed_form_lower_bound(1e308, 2, 0.5, 1.0, float(int(1e308)))
+        assert math.isnan(report.raw_product)
+        assert (report.clamped, report.vacuous) == (0.0, True)
 
     @pytest.mark.parametrize("schedule", [["--k", "2"], ["--epsilon", "1.0"]])
     def test_t_past_the_largest_double(self, schedule, capsys):

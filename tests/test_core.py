@@ -529,7 +529,7 @@ def test_trial_stream_validation():
 
 
 def helper_threads():
-    return [t for t in threading.enumerate() if t.name == "cbandits.step_uniforms"]
+    return [t for t in threading.enumerate() if t.name.startswith("cbandits.step_uniforms")]
 
 
 def test_draw_ahead_is_chosen_by_size_and_cpus(monkeypatch):
@@ -567,6 +567,30 @@ def test_blocks_held_are_not_overwritten(draw_path):
     assert not any(
         np.shares_memory(a, b) for i, a in enumerate(blocks) for b in blocks[i + 1:]
     )
+    stream.close()
+
+
+def test_drawing_ahead_keeps_memory_bounded(monkeypatch):
+    # However long the consumer pauses, the helper draws at most
+    # _DRAW_AHEAD_BLOCKS blocks past those taken: memory stays
+    # O(replications) whatever the horizon.
+    monkeypatch.setattr(core, "_DRAW_AHEAD_REPLICATIONS", 1)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    draw_block = core._draw_block
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return draw_block(*args)
+
+    monkeypatch.setattr(core, "_draw_block", counted)
+    stream = step_uniforms(5, 0, 8)
+    taken = 0
+    for m in (1, 4, 20):
+        steps(stream, m - taken)
+        taken = m
+        time.sleep(0.1)
+        assert m <= len(calls) <= m + core._DRAW_AHEAD_BLOCKS, (m, len(calls))
     stream.close()
 
 
