@@ -5,10 +5,17 @@ and validate configs.
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration or
 parameters.  The ``run`` subcommand echoes the fully-resolved config to
 stdout as YAML; re-parsing that echo reproduces the experiment exactly.
+Each distribution and schedule is parsed and echoed from one kind table
+(``core._DISTRIBUTION_KINDS``, ``strategies._SCHEDULE_KINDS``).  The
+strategy and experiment sections are read by one reader
+(:func:`_settings`), which fills the defaults and checks every value
+after the command's flags have replaced the config's.
 
 Each subcommand imports only what it uses: ``bound`` is plain Python
 and loads neither PyYAML nor numpy, ``oracle`` and ``validate`` load
-PyYAML to read the config, and only ``run`` loads numpy.
+PyYAML to read the config, only ``run`` and ``validate`` of a config with
+checkpoints build an experiment, which loads ``cbandits.harness``, and
+only ``run`` loads numpy.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from cbandits.core import (
     ValidationError,
     _as_int,
     _as_tuple,
+    _check_experiment,
     _format_csv_value,
     _increasing_steps,
     _section,
@@ -62,13 +70,18 @@ __all__ = [
     "main",
 ]
 
-_REQUIRED_SECTIONS = ("instance", "schedule")
-_OPTIONAL_SECTIONS = ("strategy", "experiment", "output")
-_STRATEGY_KEYS = ("kind", "tie_rule")
-_EXPERIMENT_KEYS = ("checkpoints", "deltas", "replications", "master_seed")
-_OUTPUT_KEYS = ("results_csv", "summary_json")
-
 DEFAULT_OUTPUT = {"results_csv": "results.csv", "summary_json": "summary.json"}
+
+# The value of each key a config leaves out; experiment.checkpoints has none.
+_STRATEGY_DEFAULTS = {"kind": POLICY_CONSTRAINED, "tie_rule": TIE_LOWEST_INDEX}
+_EXPERIMENT_DEFAULTS = {"deltas": [0.0], "replications": 100, "master_seed": 0}
+_REQUIRED_SECTIONS = ("instance", "schedule")
+# The keys each optional section may have.
+_OPTIONAL_SECTIONS = {
+    "strategy": tuple(_STRATEGY_DEFAULTS),
+    "experiment": ("checkpoints", *_EXPERIMENT_DEFAULTS),
+    "output": tuple(DEFAULT_OUTPUT),
+}
 
 BOUNDS_CSV_COLUMNS = (
     "t",
@@ -112,58 +125,66 @@ def load_config_file(path: str):
 
 
 def _parse_sections(top: Mapping) -> dict:
-    """Validate section structure and parse everything but checkpoints."""
+    """Check the config's sections and parse its instance, schedule and
+    output paths.  The strategy and experiment sections stay mappings,
+    checked for their keys only: a command writes its flags into them
+    before :func:`_settings` reads them."""
     top = _section(top, "config", _REQUIRED_SECTIONS, _OPTIONAL_SECTIONS)
-    instance = instance_from_config(top["instance"])
-    schedule = schedule_from_config(top["schedule"])
-
-    strategy_raw = _section(top.get("strategy", {}), "strategy", optional=_STRATEGY_KEYS)
-    policy = strategy_raw.get("kind", POLICY_CONSTRAINED)
-    tie_rule = strategy_raw.get("tie_rule", TIE_LOWEST_INDEX)
-    _check_strategy(policy, tie_rule)
-
-    experiment_raw = _section(top.get("experiment", {}), "experiment", optional=_EXPERIMENT_KEYS)
-    for key in ("checkpoints", "deltas"):
-        _as_tuple(experiment_raw.get(key, []), "bad_config", f"experiment.{key}")
-
-    output_raw = _section(top.get("output", {}), "output", optional=_OUTPUT_KEYS)
-    output = dict(DEFAULT_OUTPUT)
-    for key in _OUTPUT_KEYS:
-        if key in output_raw:
-            value = output_raw[key]
-            if not isinstance(value, str) or not value:
-                raise ValidationError(
-                    "bad_config", f"output.{key} must be a non-empty path string"
-                )
-            output[key] = value
-
-    return {
-        "instance": instance,
-        "schedule": schedule,
-        "policy": policy,
-        "tie_rule": tie_rule,
-        "experiment_raw": experiment_raw,
-        "output": output,
+    parts = {
+        "instance": instance_from_config(top["instance"]),
+        "schedule": schedule_from_config(top["schedule"]),
     }
+    for name, keys in _OPTIONAL_SECTIONS.items():
+        parts[name] = dict(_section(top.get(name, {}), name, optional=keys))
+
+    output = parts["output"] = {**DEFAULT_OUTPUT, **parts["output"]}
+    for key, value in output.items():
+        if not isinstance(value, str) or not value:
+            raise ValidationError("bad_config", f"output.{key} must be a non-empty path string")
+    if os.path.normpath(output["results_csv"]) == os.path.normpath(output["summary_json"]):
+        raise ValidationError(
+            "bad_config",
+            f"output.results_csv and output.summary_json name the same file: "
+            f"{output['results_csv']!r} and {output['summary_json']!r}",
+        )
+    return parts
+
+
+def _write_flags(section: dict, **flags) -> None:
+    """Write the flags given on the command line into a config section."""
+    section.update((key, value) for key, value in flags.items() if value is not None)
+
+
+def _settings(parts: dict) -> tuple[dict, dict]:
+    """The strategy and experiment sections of ``parts``, with the
+    defaults filled in and every value checked.  Whether the schedule
+    reaches the last checkpoint is
+    :class:`~cbandits.harness.ExperimentConfig`'s check."""
+    strategy = {**_STRATEGY_DEFAULTS, **parts["strategy"]}
+    experiment = {**_EXPERIMENT_DEFAULTS, **parts["experiment"]}
+    _check_strategy(strategy["kind"], strategy["tie_rule"])
+    for key in ("checkpoints", "deltas"):
+        if key in experiment:
+            _as_tuple(experiment[key], "bad_config", f"experiment.{key}")
+    if "checkpoints" in experiment:
+        _increasing_steps(experiment["checkpoints"], "checkpoints")
+    _check_experiment(experiment["deltas"], experiment["replications"], experiment["master_seed"])
+    return strategy, experiment
 
 
 def _experiment_config(parts: dict) -> ExperimentConfig:
-    """The experiment of sections that :func:`_parse_sections` parsed.
-    Defaults are filled in here so the resolved echo is always explicit."""
+    """The experiment of sections that :func:`_parse_sections` parsed,
+    with every default filled in, so the resolved echo is explicit."""
     from cbandits.harness import ExperimentConfig
 
-    experiment_raw = _section(
-        parts["experiment_raw"], "experiment", ("checkpoints",), _EXPERIMENT_KEYS
-    )
+    strategy, experiment = _settings(parts)
+    _section(experiment, "experiment", ("checkpoints",), _OPTIONAL_SECTIONS["experiment"])
     return ExperimentConfig(
         instance=parts["instance"],
         schedule=parts["schedule"],
-        checkpoints=tuple(experiment_raw["checkpoints"]),
-        deltas=tuple(experiment_raw.get("deltas", [0.0])),
-        replications=experiment_raw.get("replications", 100),
-        master_seed=experiment_raw.get("master_seed", 0),
-        policy=parts["policy"],
-        tie_rule=parts["tie_rule"],
+        policy=strategy["kind"],
+        tie_rule=strategy["tie_rule"],
+        **experiment,
     )
 
 
@@ -174,32 +195,15 @@ def experiment_from_mapping(top: Mapping) -> tuple[ExperimentConfig, dict]:
     return _experiment_config(parts), parts["output"]
 
 
-def _apply_overrides(top, args: argparse.Namespace) -> dict:
-    mutable = dict(_section(top, "config", _REQUIRED_SECTIONS, _OPTIONAL_SECTIONS))
-    experiment = dict(
-        _section(mutable.get("experiment", {}), "experiment", optional=_EXPERIMENT_KEYS)
-    )
-    strategy = dict(_section(mutable.get("strategy", {}), "strategy", optional=_STRATEGY_KEYS))
-    if args.replications is not None:
-        experiment["replications"] = args.replications
-    if args.master_seed is not None:
-        experiment["master_seed"] = args.master_seed
-    if args.tie_rule is not None:
-        strategy["tie_rule"] = args.tie_rule
-    if experiment:
-        mutable["experiment"] = experiment
-    if strategy:
-        mutable["strategy"] = strategy
-    return mutable
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     import yaml
 
     from cbandits.harness import run_experiment, write_results_csv, write_summary_json
 
-    top = _apply_overrides(load_config_file(args.config), args)
-    config, output = experiment_from_mapping(top)
+    parts = _parse_sections(load_config_file(args.config))
+    _write_flags(parts["experiment"], replications=args.replications, master_seed=args.master_seed)
+    _write_flags(parts["strategy"], tie_rule=args.tie_rule)
+    config, output = _experiment_config(parts), parts["output"]
     _as_int(args.workers, "bad_parameter", "--workers", 1)
 
     resolved = config.to_config()
@@ -301,17 +305,15 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     parts = _parse_sections(load_config_file(args.config))
-    if args.deltas is not None:
-        deltas = tuple(args.deltas)
-    else:
-        deltas = tuple(parts["experiment_raw"].get("deltas", [0.0]))
+    _write_flags(parts["experiment"], deltas=args.deltas)
+    strategy, experiment = _settings(parts)
     result = exact_selection_probability(
         parts["instance"],
         parts["schedule"],
         args.t,
-        deltas=deltas,
-        tie_rule=parts["tie_rule"],
-        policy=parts["policy"],
+        deltas=experiment["deltas"],
+        tie_rule=strategy["tie_rule"],
+        policy=strategy["kind"],
         method=args.method,
     )
     _emit(json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out)
@@ -332,10 +334,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
             notes.append("note: rho = 0, the selection bound is vacuous")
         if profile.eta == 0.0:
             notes.append("note: eta = 0, an arm sits exactly on the budget")
-        if "checkpoints" in parts["experiment_raw"]:
+        if "checkpoints" in parts["experiment"]:
             _experiment_config(parts)
             notes.append("experiment: valid")
         else:
+            _settings(parts)
             notes.append("experiment: no checkpoints declared, run config incomplete")
     except ValidationError as err:
         violation = err

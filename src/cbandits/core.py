@@ -3,13 +3,17 @@ one RNG addressing function, the one CSV cell format
 (:func:`_format_csv_value`), and the one set of input validators:
 :func:`_section` checks a config mapping's keys, :func:`_as_float` and
 :func:`_as_int` a number's type and range, :func:`_as_tuple` that a
-value is a list, and :func:`_increasing_steps` a list of steps.
+value is a list, :func:`_increasing_steps` a list of steps and
+:func:`_check_experiment` an experiment's deltas, replications and seed.
 
 Every distribution here has support inside the unit interval and a
-closed-form mean.  Sampling is inverse-transform only: a draw is
-``quantile(u)`` of exactly one uniform from the replication's stream,
-which keeps trajectories replayable and makes each replication's draws
-the same in any chunk of the kernel.
+closed-form mean.  Its kind's ``(cls, keys, fields)`` entry in
+``_DISTRIBUTION_KINDS`` both parses its config (:func:`_from_kind_table`)
+and writes it back (:func:`_to_kind_config`), as a schedule's entry in
+``strategies._SCHEDULE_KINDS`` does.  Sampling is inverse-transform
+only: a draw is ``quantile(u)`` of exactly one uniform from the
+replication's stream, which keeps trajectories replayable and makes each
+replication's draws the same in any chunk of the kernel.
 :func:`step_uniforms` is the only place that maps a (step, replication)
 pair to its uniforms; for large blocks on a multi-CPU process it draws
 the next steps on a one-thread executor while the caller works, with the
@@ -185,6 +189,17 @@ def _increasing_steps(values: Sequence, what: str) -> tuple[int, ...]:
     return steps
 
 
+def _check_experiment(deltas, replications, master_seed) -> tuple[tuple[float, ...], int, int]:
+    """``(deltas, replications, master_seed)`` checked: a list of finite
+    deltas >= 0, at least one replication and a seed in [0, 2**64)."""
+    deltas = _as_tuple(deltas, "bad_config", "deltas")
+    return (
+        tuple(_as_float(d, "bad_config", "deltas", 0.0) for d in deltas),
+        _as_int(replications, "bad_config", "replications", 1),
+        _as_int(master_seed, "bad_parameter", "master_seed", 0, 2**64 - 1),
+    )
+
+
 def _section(
     config, path: str, required: Iterable[str] = (), optional: Iterable[str] = ()
 ) -> Mapping:
@@ -239,9 +254,9 @@ class Distribution(ABC):
         cuts, values = self.quantile_table()
         return values[bisect.bisect_right(cuts, u)]
 
-    @abstractmethod
     def to_config(self) -> dict:
-        """Serializable ``{"kind": ..., <params>}`` mapping."""
+        """``{"kind": ..., <params>}``, which :func:`distribution_from_config` reads."""
+        return _to_kind_config(self, _DISTRIBUTION_KINDS)
 
     def atoms(self, exact: bool = False) -> Atoms:
         """``(value, probability)`` pairs of :meth:`quantile_table`, in
@@ -293,9 +308,6 @@ class PointMass(Distribution):
     def quantile_table(self) -> QuantileTable:
         return ((), (self.value,))
 
-    def to_config(self) -> dict:
-        return {"kind": "point_mass", "value": self.value}
-
 
 @dataclass(frozen=True)
 class Bernoulli(Distribution):
@@ -315,9 +327,6 @@ class Bernoulli(Distribution):
     def quantile_table(self) -> QuantileTable:
         # 1 for u < p: P{U < p} = p exactly for U uniform on [0, 1).
         return ((self.p,), (1.0, 0.0))
-
-    def to_config(self) -> dict:
-        return {"kind": "bernoulli", "p": self.p}
 
 
 @dataclass(frozen=True)
@@ -380,13 +389,6 @@ class Discrete(Distribution):
         # rest of [0, 1), whatever rounding did to _cum[-1].
         return (self._cum[:-1], self.values)
 
-    def to_config(self) -> dict:
-        return {
-            "kind": "discrete",
-            "values": list(self.values),
-            "probabilities": list(self.probabilities),
-        }
-
 
 @dataclass(frozen=True)
 class Beta(Distribution):
@@ -416,9 +418,6 @@ class Beta(Distribution):
 
     def quantile(self, u: float) -> float:
         return float(_betaincinv()(self.shape1, self.shape2, u))
-
-    def to_config(self) -> dict:
-        return {"kind": "beta", "shape1": self.shape1, "shape2": self.shape2}
 
 
 @functools.cache
@@ -454,6 +453,18 @@ def _from_kind_table(config, path: str, kinds: Mapping):
     cls, keys, fields = kinds[kind]
     _section(config, path, required=keys, optional=("kind",))
     return cls(**{field_name: config[key] for key, field_name in zip(keys, fields)})
+
+
+def _to_kind_config(obj, kinds: Mapping) -> dict:
+    """``{"kind": ..., <keys>}`` of ``obj`` for its kind's ``(cls, keys,
+    fields)`` entry in ``kinds``, which :func:`_from_kind_table` parses
+    back; tuples are written as lists."""
+    _, keys, fields = kinds[obj.kind]
+    config = {"kind": obj.kind}
+    for key, field_name in zip(keys, fields):
+        value = getattr(obj, field_name)
+        config[key] = list(value) if isinstance(value, tuple) else value
+    return config
 
 
 def distribution_from_config(config: Mapping, path: str = "distribution") -> Distribution:

@@ -44,8 +44,8 @@ from cbandits.core import (
     ValidationError,
     _as_float,
     _as_int,
-    _as_tuple,
     _betaincinv,
+    _check_experiment,
     _format_csv_value,
     _increasing_steps,
     _mark_pool_worker,
@@ -121,14 +121,11 @@ class ExperimentConfig:
         # fails midway; under ``uniform`` it is 1 and reads no schedule.
         epsilon, _ = _selection_inputs(self.policy, self.schedule, self.instance.constraint_level)
         epsilon(checkpoints[-1])
-        deltas = tuple(
-            _as_float(d, "bad_config", "deltas", 0.0)
-            for d in _as_tuple(self.deltas, "bad_config", "deltas")
+        deltas, replications, master_seed = _check_experiment(
+            self.deltas, self.replications, self.master_seed
         )
         if not deltas:
             raise ValidationError("bad_config", "deltas must be non-empty")
-        replications = _as_int(self.replications, "bad_config", "replications", 1)
-        master_seed = _as_int(self.master_seed, "bad_parameter", "master_seed", 0, 2**64 - 1)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "replications", replications)

@@ -28,6 +28,7 @@ from cbandits.core import (
     _as_int,
     _as_tuple,
     _from_kind_table,
+    _to_kind_config,
 )
 
 __all__ = [
@@ -79,7 +80,8 @@ class EpsilonSchedule:
         raise NotImplementedError
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """``{"kind": ..., <params>}``, which :func:`schedule_from_config` reads."""
+        return _to_kind_config(self, _SCHEDULE_KINDS)
 
 
 # Harmonic numbers in fixed point: an int X stands for X / 2**_FIXED_BITS,
@@ -230,9 +232,6 @@ class ConstantSchedule(EpsilonSchedule):
         except OverflowError:  # past the largest double, the sum rounds to inf
             return math.inf
 
-    def to_config(self) -> dict:
-        return {"kind": "constant", "epsilon": self.value}
-
 
 @dataclass(frozen=True)
 class InverseTimeSchedule(EpsilonSchedule):
@@ -312,9 +311,6 @@ class InverseTimeSchedule(EpsilonSchedule):
         tail = sum(fractions.Fraction(1, n) for n in range(flat + 1, t + 1))
         return float(flat + fractions.Fraction(self.k) * tail)
 
-    def to_config(self) -> dict:
-        return {"kind": "inverse_time", "k": self.k}
-
 
 @dataclass(frozen=True)
 class ExplicitSchedule(EpsilonSchedule):
@@ -349,9 +345,6 @@ class ExplicitSchedule(EpsilonSchedule):
 
     def cumulative(self, t: int) -> float:
         return math.fsum(self.values[: self._check_step(t)])
-
-    def to_config(self) -> dict:
-        return {"kind": "explicit", "values": list(self.values)}
 
 
 _SCHEDULE_KINDS = {

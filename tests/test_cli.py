@@ -238,6 +238,28 @@ class TestRun:
         _, rows = read_csv_rows(tmp_path / "out" / "results.csv")
         assert all(row["R"] == "17" for row in rows)
 
+    @pytest.mark.parametrize(
+        ("text", "flags", "section", "key", "value"),
+        [
+            pytest.param(TWO_ARM_CONFIG + "strategy: {tie_rule: bogus}\n",
+                         ["--tie-rule", "uniform"], "strategy", "tie_rule", "uniform",
+                         id="tie-rule"),
+            pytest.param(TWO_ARM_CONFIG.replace("replications: 60", "replications: -1"),
+                         ["--replications", "5"], "experiment", "replications", 5,
+                         id="replications"),
+            pytest.param(TWO_ARM_CONFIG.replace("master_seed: 7", "master_seed: -3"),
+                         ["--master-seed", "4"], "experiment", "master_seed", 4,
+                         id="master-seed"),
+        ],
+    )
+    def test_flag_replaces_config_value_before_checks(
+        self, tmp_path, capsys, text, flags, section, key, value
+    ):
+        config_path = write_config(tmp_path, text)
+        code = main(["run", "--config", config_path, "--out-dir", str(tmp_path / "out"), *flags])
+        assert code == 0
+        assert yaml.safe_load(capsys.readouterr().out)[section][key] == value
+
     def test_output_section_renames_files(self, tmp_path, capsys):
         config_path = write_config(
             tmp_path,
@@ -600,8 +622,10 @@ class TestOracle:
         assert payload["delta_events"] == [{"delta": 0.0, "probability": 0.625}]
         assert payload["method"] == "fraction"
 
-    def test_deltas_flag_overrides_config(self, tmp_path, capsys):
-        config_path = write_config(tmp_path, ORACLE_CONFIG)
+    # The flag replaces the config's deltas before they are checked.
+    @pytest.mark.parametrize("experiment", ["", "experiment: {deltas: [-1]}\n"])
+    def test_deltas_flag_overrides_config(self, tmp_path, capsys, experiment):
+        config_path = write_config(tmp_path, ORACLE_CONFIG + experiment)
         code = main(["oracle", "--config", config_path, "--t", "2",
                      "--deltas", "0.0", "0.5"])
         assert code == 0
@@ -833,6 +857,12 @@ REJECTED_CONFIGS = [
                  "unknown_key", "'horizon'", id="experiment-unknown-key"),
     pytest.param(edited(lambda c: c.update(output={"plots": "p.png"})),
                  "unknown_key", "'plots'", id="output-unknown-key"),
+    pytest.param(edited(lambda c: c.update(output={"results_csv": "same.out",
+                                                   "summary_json": "./same.out"})),
+                 "bad_config", "name the same file", id="output-paths-collide"),
+    pytest.param(edited(lambda c: c.update(experiment={"deltas": [-1], "replications": -4})),
+                 "bad_config", "deltas must be finite and >= 0.0",
+                 id="experiment-values-without-checkpoints"),
     pytest.param(edited(lambda c: arm(c, 0).update(weight=1)),
                  "unknown_key", "'weight'", id="arm-unknown-key"),
     pytest.param(edited(lambda c: arm(c, 0)["reward"].update(q=0.1)),

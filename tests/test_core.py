@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
 from numpy.random import Generator, Philox
 from scipy import integrate, stats
 
@@ -371,9 +372,20 @@ def test_instance_mean_vectors():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dist,_m,_v", EXPECTED_MOMENTS)
-def test_distribution_config_round_trip(dist, _m, _v):
-    assert distribution_from_config(dist.to_config()) == dist
+ROUND_TRIP_DISTRIBUTIONS = [dist for dist, _, _ in EXPECTED_MOMENTS] + [
+    PointMass(1.0),
+    Discrete((0.25,), (1.0,)),
+]
+
+
+@pytest.mark.parametrize("dist", ROUND_TRIP_DISTRIBUTIONS)
+def test_distribution_config_round_trip(dist):
+    # The echo writes the keys of the kind's table entry, as YAML lists.
+    assert {d.kind for d in ROUND_TRIP_DISTRIBUTIONS} == set(core._DISTRIBUTION_KINDS)
+    echo = dist.to_config()
+    _, keys, _ = core._DISTRIBUTION_KINDS[dist.kind]
+    assert set(echo) == {"kind", *keys}
+    assert distribution_from_config(yaml.safe_load(yaml.safe_dump(echo))) == dist
 
 
 def test_distribution_config_unknown_kind():

@@ -1,8 +1,9 @@
 """Every public name the package declares resolves to an object, and
 each subcommand imports only the libraries it uses: numpy for Monte
-Carlo runs, PyYAML for config files, scipy for beta arms and the process
-pool for more than one worker; and an interpreter that exits with a
-stream drawing ahead neither hangs nor reports an error."""
+Carlo runs, PyYAML for config files, scipy for beta arms, the process
+pool for more than one worker and the harness only where an experiment
+is built; and an interpreter that exits with a stream drawing ahead
+neither hangs nor reports an error."""
 
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ for argv in json.loads(sys.argv[1]):
     loaded()
 """
 
-PROBED = ("numpy", "yaml", "scipy", "concurrent.futures.process")
+PROBED = ("numpy", "yaml", "scipy", "concurrent.futures.process", "cbandits.harness")
 
 
 def run_fresh(tmp_path, code, *args, timeout=None):
@@ -114,8 +115,8 @@ def test_each_command_imports_only_what_it_uses(tmp_path):
         set(),  # bound
         {"yaml"},  # oracle
         {"yaml"},  # validate without checkpoints
-        {"yaml"},  # validate with checkpoints
-        {"yaml", "numpy"},  # run --workers 1
+        {"yaml", "cbandits.harness"},  # validate with checkpoints
+        {"yaml", "cbandits.harness", "numpy"},  # run --workers 1
     ]
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import yaml
 from scipy.special import digamma
 
 from cbandits.analysis import exact_selection_probability
@@ -344,12 +345,24 @@ def test_explicit_schedule_horizon_errors():
         sched.epsilon(0)
 
 
-@pytest.mark.parametrize(
-    "sched",
-    [ConstantSchedule(0.3), InverseTimeSchedule(40.0), ExplicitSchedule((0.5, 0.25))],
-)
+ROUND_TRIP_SCHEDULES = [
+    ConstantSchedule(0.3),
+    ConstantSchedule(1.0),
+    InverseTimeSchedule(40.0),
+    InverseTimeSchedule(3.7),
+    ExplicitSchedule((0.5, 0.25)),
+    ExplicitSchedule((1.0,)),
+]
+
+
+@pytest.mark.parametrize("sched", ROUND_TRIP_SCHEDULES)
 def test_schedule_config_round_trip(sched):
-    assert schedule_from_config(sched.to_config()) == sched
+    # The echo writes the keys of the kind's table entry, as YAML lists.
+    assert {s.kind for s in ROUND_TRIP_SCHEDULES} == set(strategies._SCHEDULE_KINDS)
+    echo = sched.to_config()
+    _, keys, _ = strategies._SCHEDULE_KINDS[sched.kind]
+    assert set(echo) == {"kind", *keys}
+    assert schedule_from_config(yaml.safe_load(yaml.safe_dump(echo))) == sched
 
 
 def test_schedule_config_errors():
